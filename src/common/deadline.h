@@ -18,10 +18,10 @@
 // kernels without a Status channel (FoldTwoNfa, ProductBfs) simply stop
 // early and rely on a Status-returning caller to poll the same context.
 //
-// Pool workers do not inherit the calling thread's installation; fan-out
-// sites (containment/batch.cc, EvalPathQueryFromSources) capture the
-// parent context before spawning and install a per-worker mirror built
-// with ExecContext::ChildOf.
+// Installations are per thread. The fan-out executor (common/parallel.h)
+// carries the caller's context onto its helper threads by installing an
+// ExecContext::ChildOf(caller) for the helper's share of the work, so
+// fan-out sites need no context plumbing of their own.
 #ifndef RQ_COMMON_DEADLINE_H_
 #define RQ_COMMON_DEADLINE_H_
 
@@ -79,8 +79,8 @@ class CancelToken {
 
 // A deadline plus an optional cancel token, polled by long-running loops.
 // One context belongs to one thread (Check() keeps unsynchronized stride
-// state); to observe the same bounds from a pool worker, build a mirror
-// with ChildOf and install it on that worker.
+// state); another thread observes the same bounds through a mirror built
+// with ChildOf (the fan-out executor's helpers install one).
 class ExecContext {
  public:
   // Clock reads are amortized: Check() consults the cancel token every
@@ -92,7 +92,7 @@ class ExecContext {
       : deadline_(deadline), cancel_(cancel) {}
 
   // A fresh context observing the same deadline and token as `parent`
-  // (default/no-op context when parent is null). For pool workers.
+  // (default/no-op context when parent is null). For helper threads.
   static ExecContext ChildOf(const ExecContext* parent) {
     return parent == nullptr
                ? ExecContext()

@@ -30,10 +30,10 @@
 // Sites charge per allocation event (a row, a frontier, a relation), never
 // per byte, mirroring the flush-per-operation discipline of obs/counters.h.
 //
-// Pool workers do not inherit the calling thread's installation; fan-out
-// sites build per-worker mirrors with MemContext::ChildOf (the mirrors
-// share the parent's accounting and budget, so concurrent workers charge
-// one pot), exactly like ExecContext::ChildOf.
+// Installations are per thread. The fan-out executor (common/parallel.h)
+// carries the caller's context onto its helper threads as a
+// MemContext::ChildOf mirror (sharing the caller's accounting and budget,
+// so concurrent workers charge one pot), exactly like ExecContext::ChildOf.
 #ifndef RQ_COMMON_MEM_H_
 #define RQ_COMMON_MEM_H_
 
@@ -66,9 +66,10 @@ const char* MemSubsystemName(MemSubsystem subsystem);
 
 // Per-query (or per-job) byte accounting plus an optional budget. One
 // context belongs to one thread (the latched Status is unsynchronized);
-// to charge the same pot from a pool worker, build a mirror with ChildOf
-// and install it on that worker. Copying a context yields such a mirror:
-// the accounting pot is shared (and kept alive), the error latch is fresh.
+// another thread charges the same pot through a mirror built with ChildOf
+// (the fan-out executor's helpers install one). Copying a context yields
+// such a mirror: the accounting pot is shared (and kept alive), the error
+// latch is fresh.
 //
 // A context built with a parent chains to it: charges propagate up the
 // chain (a batch job's bytes also count against the batch-wide context)
@@ -96,8 +97,8 @@ class MemContext {
   }
 
   // A mirror charging the same accounting (and observing the same budget)
-  // as `parent`; fresh independent context when parent is null. For pool
-  // workers.
+  // as `parent`; fresh independent context when parent is null. For
+  // helper threads.
   static MemContext ChildOf(const MemContext* parent) {
     return parent == nullptr ? MemContext() : MemContext(*parent);
   }

@@ -46,6 +46,12 @@ std::string StrJoin(const std::vector<std::string>& parts,
 // True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+// The deepest bracket nesting the recursive-descent parsers (regex, RQ,
+// JSON) accept; deeper input is kInvalidArgument instead of a stack
+// overflow. Far beyond any hand-written query, far below what a thread's
+// stack can hold.
+inline constexpr int kMaxParseNesting = 512;
+
 // True if c is valid in an identifier ([A-Za-z0-9_]).
 bool IsIdentChar(char c);
 

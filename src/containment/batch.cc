@@ -1,7 +1,7 @@
 #include "containment/batch.h"
 
-#include <atomic>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "common/deadline.h"
@@ -23,125 +23,116 @@ uint64_t SteadyNowNs() {
           .count());
 }
 
-// Runs `work(i)` for i in [0, n) on the shared ticket-queue pool
-// (common/parallel.h), wrapped in the batch engine's bookkeeping. `work`
-// must only touch per-index state (the checkers' shared state — obs
-// counters and the automata cache — is internally synchronized).
+// The body of both batch entry points: runs check(*lhs, *rhs) for every
+// job on the fan-out executor (common/parallel.h), wrapped in the batch
+// engine's bookkeeping. A job is a pair of pointers; a null one fails that
+// job with a per-job status instead of aborting the process from a worker
+// thread, and — unlike runtime failures — never cancels the rest of the
+// batch.
 //
-// Per-worker delta isolation for the profiler: when a query profile is
-// active (obs/profile.h), each pool thread accumulates its own job count
-// and busy wall-time in a slot only it touches, and the rows are flushed
-// to the profile once after the pool joins — worker attribution without
-// any shared mutable state inside the job loop.
-template <typename Work>
-void RunJobs(size_t n, unsigned jobs, Work work) {
-  obs::BatchCounters& counters = obs::BatchCounters::Get();
-  counters.batches.Increment();
-  counters.batch_checks.Add(n);
-  // Queue-depth gauge: all n jobs enter the backlog up front; each
-  // finished job drains one. The peak is the deepest backlog across any
-  // overlapping batches. One gauge update per job, not per inner step, so
-  // the checkers' hot loops stay untouched.
-  counters.queue_depth.Add(static_cast<int64_t>(n));
-  obs::QueryProfile* profile = obs::QueryProfile::Active();
-  if (profile == nullptr) {
-    ParallelFor(n, jobs, [&counters, &work](size_t i) {
-      work(i);
-      counters.queue_depth.Sub(1);
-    });
-    return;
-  }
-  struct WorkerStats {
-    uint64_t jobs = 0;
-    uint64_t busy_ns = 0;
-  };
-  unsigned slots = jobs > 1 ? jobs : 1;
-  std::vector<WorkerStats> per_worker(slots);
-  ParallelForWorker(n, jobs,
-                    [&counters, &work, &per_worker](unsigned worker,
-                                                    size_t i) {
-                      uint64_t begin = SteadyNowNs();
-                      work(i);
-                      counters.queue_depth.Sub(1);
-                      WorkerStats& stats = per_worker[worker];
-                      ++stats.jobs;
-                      stats.busy_ns += SteadyNowNs() - begin;
-                    });
-  for (unsigned w = 0; w < slots; ++w) {
-    if (per_worker[w].jobs == 0) continue;
-    profile->RecordWorker(w, per_worker[w].jobs, per_worker[w].busy_ns);
-  }
-}
-
-unsigned EffectiveJobs(const ContainmentBatchOptions& options) {
-  return options.jobs != 0 ? options.jobs : DefaultContainmentJobs();
-}
-
-// Per-batch deadline/cancellation bookkeeping shared by both batch entry
-// points. The parent ExecContext is captured on the CALLING thread (pool
-// workers do not inherit its thread-local installation); each job then
-// runs under a fresh child context combining:
+// Deadlines and cancellation: each job chains to the context installed on
+// the thread running it, which is the caller's own on every worker
+// (fan-out helpers install a child of it), and runs under a fresh child
+// context combining:
 //   * a fresh job deadline (options.job_timeout_ms, measured from pickup)
-//     clipped to the parent's deadline, and
-//   * one cancel source — the caller-supplied token, else the parent's
+//     clipped to the caller's deadline, and
+//   * one cancel source — the caller-supplied token, else the caller's
 //     token, else the batch's internal first-error token.
 // Jobs not yet started when any of those sources fires report kCancelled
 // without running; jobs already running unwind at their next poll only if
 // their own context watches the fired token.
-// Memory budgets follow the same shape: the caller's installed MemContext
-// is captured here, and each job runs under a fresh per-job context
-// (options.memory_budget_bytes, 0 = unlimited) chained to it — job bytes
-// roll up into the caller's accounting, and a trip of either budget fails
-// the job with kResourceExhausted at its next poll.
-struct BatchExecGuard {
-  const ContainmentBatchOptions& options;
-  ExecContext* parent;
-  MemContext* mem_parent;
+// Memory budgets follow the same shape: each job runs under a fresh
+// per-job context (options.memory_budget_bytes, 0 = unlimited) chained to
+// the caller's MemContext — job bytes roll up into the caller's
+// accounting, and a trip of either budget fails the job with
+// kResourceExhausted at its next poll.
+//
+// Per-worker delta isolation for the profiler: when a query profile is
+// active (obs/profile.h), each worker accumulates its own job count and
+// busy wall-time in a slot only it touches, and the rows are flushed to
+// the profile once the fan-out returns — worker attribution without any
+// shared mutable state inside the job loop.
+template <typename JobResult, typename Job, typename Check>
+std::vector<JobResult> RunBatch(const char* entry, const char* operand,
+                                const std::vector<Job>& jobs,
+                                const ContainmentBatchOptions& options,
+                                Check check) {
+  RQ_TRACE_SPAN_VAR(span, "containment.batch");
+  span.AddAttr("jobs", jobs.size());
+  obs::BatchCounters& counters = obs::BatchCounters::Get();
+  counters.batches.Increment();
+  counters.batch_checks.Add(jobs.size());
+  // Queue-depth gauge: all jobs enter the backlog up front; each finished
+  // job drains one. The peak is the deepest backlog across any overlapping
+  // batches. One gauge update per job, not per inner step, so the
+  // checkers' hot loops stay untouched.
+  counters.queue_depth.Add(static_cast<int64_t>(jobs.size()));
+  unsigned workers =
+      options.jobs != 0 ? options.jobs : DefaultContainmentJobs();
+  obs::QueryProfile* profile = obs::QueryProfile::Active();
+  struct WorkerStats {
+    uint64_t jobs = 0;
+    uint64_t busy_ns = 0;
+  };
+  std::vector<WorkerStats> per_worker(profile != nullptr ? workers : 0);
+  std::vector<JobResult> results(jobs.size());
   CancelToken first_error;
 
-  explicit BatchExecGuard(const ContainmentBatchOptions& opts)
-      : options(opts),
-        parent(ExecContext::Current()),
-        mem_parent(MemContext::Current()) {}
-
-  CancelToken* JobCancelToken() {
-    if (options.cancel != nullptr) return options.cancel;
-    if (parent != nullptr && parent->cancel_token() != nullptr) {
-      return parent->cancel_token();
+  auto run_job = [&](size_t i, JobResult& result) {
+    const auto& [lhs, rhs] = jobs[i];
+    if (lhs == nullptr || rhs == nullptr) {
+      result.status = InvalidArgumentError(std::string(entry) + ": job " +
+                                           std::to_string(i) +
+                                           " has a null " + operand);
+      return;
     }
-    return &first_error;
+    ExecContext* parent = ExecContext::Current();
+    CancelToken* parent_cancel =
+        parent != nullptr ? parent->cancel_token() : nullptr;
+    if (first_error.Cancelled() ||
+        (options.cancel != nullptr && options.cancel->Cancelled()) ||
+        (parent_cancel != nullptr && parent_cancel->Cancelled())) {
+      result.status = CancelledError(std::string(entry) + ": job " +
+                                     std::to_string(i) +
+                                     " cancelled before start");
+      return;
+    }
+    Deadline deadline = options.job_timeout_ms > 0
+                            ? Deadline::AfterMillis(options.job_timeout_ms)
+                            : Deadline::Infinite();
+    if (parent != nullptr) {
+      deadline = Deadline::Earlier(deadline, parent->deadline());
+    }
+    ExecContext ctx(deadline, options.cancel != nullptr ? options.cancel
+                              : parent_cancel != nullptr ? parent_cancel
+                                                         : &first_error);
+    MemContext* mem_parent = MemContext::Current();
+    MemContext mem_ctx(options.memory_budget_bytes, mem_parent);
+    {
+      ScopedExecContext scoped(&ctx);
+      // A budget-free root with no parent tracks nothing: skip it.
+      ScopedMemContext scoped_mem(
+          options.memory_budget_bytes != 0 || mem_parent != nullptr
+              ? &mem_ctx
+              : nullptr);
+      result = check(*lhs, *rhs);
+    }
+    if (!result.status.ok() && options.cancel_on_error) first_error.Cancel();
+  };
+  ParallelForWorker(jobs.size(), workers, [&](unsigned worker, size_t i) {
+    uint64_t begin = profile != nullptr ? SteadyNowNs() : 0;
+    run_job(i, results[i]);
+    counters.queue_depth.Sub(1);
+    if (profile == nullptr) return;
+    ++per_worker[worker].jobs;
+    per_worker[worker].busy_ns += SteadyNowNs() - begin;
+  });
+  for (unsigned w = 0; w < per_worker.size(); ++w) {
+    if (per_worker[w].jobs == 0) continue;
+    profile->RecordWorker(w, per_worker[w].jobs, per_worker[w].busy_ns);
   }
-
-  bool CancelledBeforeStart() {
-    return first_error.Cancelled() ||
-           (options.cancel != nullptr && options.cancel->Cancelled()) ||
-           (parent != nullptr && parent->cancel_token() != nullptr &&
-            parent->cancel_token()->Cancelled());
-  }
-
-  // Fresh per-job memory context: carries the per-job budget and chains to
-  // the caller's context (if any). Returns a budget-free root when neither
-  // exists — NeedsMemContext() gates installing it at all.
-  bool NeedsMemContext() const {
-    return options.memory_budget_bytes != 0 || mem_parent != nullptr;
-  }
-
-  MemContext JobMemContext() const {
-    return MemContext(options.memory_budget_bytes, mem_parent);
-  }
-
-  Deadline JobDeadline() const {
-    Deadline d = options.job_timeout_ms > 0
-                     ? Deadline::AfterMillis(options.job_timeout_ms)
-                     : Deadline::Infinite();
-    if (parent != nullptr) d = Deadline::Earlier(d, parent->deadline());
-    return d;
-  }
-
-  void OnJobResult(const Status& status) {
-    if (!status.ok() && options.cancel_on_error) first_error.Cancel();
-  }
-};
+  return results;
+}
 
 }  // namespace
 
@@ -154,91 +145,29 @@ unsigned DefaultContainmentJobs() { return DefaultParallelJobs(); }
 std::vector<LanguageContainmentResult> CheckContainmentBatch(
     const std::vector<NfaContainmentJob>& jobs,
     const ContainmentBatchOptions& options) {
-  RQ_TRACE_SPAN_VAR(span, "containment.batch");
-  span.AddAttr("jobs", jobs.size());
-  std::vector<LanguageContainmentResult> results(jobs.size());
-  // Validate up front: a bad job fails with a per-job status instead of
-  // aborting the process from a worker thread, and — unlike runtime
-  // failures — never cancels the rest of the batch.
-  std::vector<bool> invalid(jobs.size(), false);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].a == nullptr || jobs[i].b == nullptr) {
-      invalid[i] = true;
-      results[i].status = InvalidArgumentError(
-          "CheckContainmentBatch: job " + std::to_string(i) +
-          " has a null automaton");
-    }
-  }
-  BatchExecGuard guard(options);
-  RunJobs(jobs.size(), EffectiveJobs(options), [&](size_t i) {
-    if (invalid[i]) return;
-    if (guard.CancelledBeforeStart()) {
-      results[i].status = CancelledError(
-          "CheckContainmentBatch: job " + std::to_string(i) +
-          " cancelled before start");
-      return;
-    }
-    ExecContext ctx(guard.JobDeadline(), guard.JobCancelToken());
-    MemContext mem_ctx = guard.JobMemContext();
-    {
-      ScopedExecContext scoped(&ctx);
-      ScopedMemContext scoped_mem(guard.NeedsMemContext() ? &mem_ctx
-                                                          : nullptr);
-      switch (options.algo) {
-        case ContainmentAlgo::kOnTheFly:
-          results[i] = CheckLanguageContainment(*jobs[i].a, *jobs[i].b);
-          break;
-        case ContainmentAlgo::kAntichain:
-          results[i] =
-              CheckLanguageContainmentAntichain(*jobs[i].a, *jobs[i].b);
-          break;
-        case ContainmentAlgo::kExplicit:
-          results[i] =
-              CheckLanguageContainmentExplicit(*jobs[i].a, *jobs[i].b);
-          break;
-      }
-    }
-    guard.OnJobResult(results[i].status);
-  });
-  return results;
+  return RunBatch<LanguageContainmentResult>(
+      "CheckContainmentBatch", "automaton", jobs, options,
+      [&](const Nfa& a, const Nfa& b) {
+        switch (options.algo) {
+          case ContainmentAlgo::kAntichain:
+            return CheckLanguageContainmentAntichain(a, b);
+          case ContainmentAlgo::kExplicit:
+            return CheckLanguageContainmentExplicit(a, b);
+          case ContainmentAlgo::kOnTheFly:
+            break;
+        }
+        return CheckLanguageContainment(a, b);
+      });
 }
 
 std::vector<PathContainmentResult> CheckPathContainmentBatch(
     const std::vector<PathContainmentJob>& jobs, const Alphabet& alphabet,
     const ContainmentBatchOptions& options) {
-  RQ_TRACE_SPAN_VAR(span, "containment.batch");
-  span.AddAttr("jobs", jobs.size());
-  std::vector<PathContainmentResult> results(jobs.size());
-  std::vector<bool> invalid(jobs.size(), false);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (jobs[i].q1 == nullptr || jobs[i].q2 == nullptr) {
-      invalid[i] = true;
-      results[i].status = InvalidArgumentError(
-          "CheckPathContainmentBatch: job " + std::to_string(i) +
-          " has a null regex");
-    }
-  }
-  BatchExecGuard guard(options);
-  RunJobs(jobs.size(), EffectiveJobs(options), [&](size_t i) {
-    if (invalid[i]) return;
-    if (guard.CancelledBeforeStart()) {
-      results[i].status = CancelledError(
-          "CheckPathContainmentBatch: job " + std::to_string(i) +
-          " cancelled before start");
-      return;
-    }
-    ExecContext ctx(guard.JobDeadline(), guard.JobCancelToken());
-    MemContext mem_ctx = guard.JobMemContext();
-    {
-      ScopedExecContext scoped(&ctx);
-      ScopedMemContext scoped_mem(guard.NeedsMemContext() ? &mem_ctx
-                                                          : nullptr);
-      results[i] =
-          CheckPathQueryContainment(*jobs[i].q1, *jobs[i].q2, alphabet);
-    }
-    guard.OnJobResult(results[i].status);
-  });
-  return results;
+  return RunBatch<PathContainmentResult>(
+      "CheckPathContainmentBatch", "regex", jobs, options,
+      [&](const Regex& q1, const Regex& q2) {
+        return CheckPathQueryContainment(q1, q2, alphabet);
+      });
 }
 
 }  // namespace rq

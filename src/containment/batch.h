@@ -1,7 +1,11 @@
 // Parallel batch containment: fans a vector of independent containment
-// checks across a std::jthread worker pool. Each worker pulls job indices
-// off a shared queue, so uneven check costs balance automatically; results
-// land at their job's index, so output order is deterministic regardless of
+// checks across the process-wide fan-out executor (common/parallel.h). The
+// calling thread and up to jobs - 1 of the executor's persistent threads
+// pull job indices off a shared ticket counter, so uneven check costs
+// balance automatically and no call starts a thread. Helpers run under the
+// caller's deadline, cancel token and memory pot, so a job behaves the
+// same on any thread, flight-recorder nesting included. Results land at
+// their job's index, so output order is deterministic regardless of
 // scheduling. Single-pair semantics are exactly those of the underlying
 // checkers (automata/containment.h, pathquery/containment.h) — including
 // their use of the automata cache, which is thread-safe and deduplicates
@@ -27,8 +31,8 @@ enum class ContainmentAlgo {
 };
 
 struct ContainmentBatchOptions {
-  // Worker threads; 0 means DefaultContainmentJobs(). Values <= 1 run the
-  // batch inline on the calling thread (no pool).
+  // Workers, the calling thread included; 0 means DefaultContainmentJobs().
+  // Values <= 1 run the batch inline on the calling thread.
   unsigned jobs = 0;
   ContainmentAlgo algo = ContainmentAlgo::kOnTheFly;
   // Per-job wall-clock budget in milliseconds (0 = none). Each job gets a

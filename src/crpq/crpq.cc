@@ -456,9 +456,10 @@ Result<CrpqContainmentResult> CheckUc2RpqContainmentImpl(
       }
       CanonicalExpansion canonical =
           BuildCanonical(disjunct, choice, alphabet);
-      // Canonical graphs are tiny; evaluating them serially avoids paying
-      // a worker-pool spin-up per expansion when a global --jobs is set
-      // (parallelism belongs to the per-disjunct batch dispatch above).
+      // Canonical graphs are tiny; evaluating them serially avoids a
+      // fan-out (helper hand-off and wake-ups on the shared executor) per
+      // expansion when a global --jobs is set (parallelism belongs to the
+      // per-disjunct batch dispatch above).
       RQ_ASSIGN_OR_RETURN(
           Relation answers,
           EvalUc2Rpq(canonical.graph, q2, PathEvalOptions{.jobs = 1}));

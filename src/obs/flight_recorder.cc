@@ -313,6 +313,15 @@ namespace {
 thread_local uint32_t t_flight_depth = 0;
 }  // namespace
 
+uint32_t FlightDepth() { return t_flight_depth; }
+
+ScopedFlightDepth::ScopedFlightDepth(uint32_t depth)
+    : previous_(t_flight_depth) {
+  t_flight_depth = depth;
+}
+
+ScopedFlightDepth::~ScopedFlightDepth() { t_flight_depth = previous_; }
+
 FlightTimer::FlightTimer(QueryKind kind)
     : kind_(kind),
       start_ns_(SteadyNowNs()),

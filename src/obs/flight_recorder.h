@@ -184,12 +184,14 @@ class FlightRecorder {
 // field. A timer destroyed without Finish records kFlightVerdictAbandoned
 // (an error path unwound through the entry point).
 //
-// Nested timers on the SAME thread are suppressed: only the outermost
-// records, so a CheckRqContainment that dispatches to the 2RPQ fold or
-// evaluates Q2 over a hundred expansions contributes one ring entry, not
-// hundreds of sub-operation entries. Work fanned out to pool threads (the
-// batch containment engine) starts at depth zero per worker and records
-// per job — in a batch, the individual checks ARE the queries.
+// Nested timers are suppressed: only the outermost records, so a
+// CheckRqContainment that dispatches to the 2RPQ fold or evaluates Q2 over
+// a hundred expansions contributes one ring entry, not hundreds of
+// sub-operation entries. The depth is per thread, and fan-out helpers
+// (common/parallel.h) carry the caller's depth: a batch called at top
+// level records one entry per job (the individual checks ARE the queries),
+// and a batch under an outer timer records none, whichever thread runs
+// each job.
 class FlightTimer {
  public:
   explicit FlightTimer(QueryKind kind);
@@ -205,6 +207,22 @@ class FlightTimer {
   uint64_t start_ns_;
   bool finished_ = false;
   bool outermost_ = false;  // false for a nested timer: records nothing
+};
+
+// The calling thread's FlightTimer nesting depth, and a scope that sets
+// it (restoring the previous depth on destruction). Fan-out helpers use
+// the pair to run the caller's work at the caller's depth.
+uint32_t FlightDepth();
+class ScopedFlightDepth {
+ public:
+  explicit ScopedFlightDepth(uint32_t depth);
+  ~ScopedFlightDepth();
+
+  ScopedFlightDepth(const ScopedFlightDepth&) = delete;
+  ScopedFlightDepth& operator=(const ScopedFlightDepth&) = delete;
+
+ private:
+  uint32_t previous_;
 };
 
 // Installs `label` (typically the CLI's query text) as the context

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strings.h"
+
 namespace rq {
 namespace obs {
 
@@ -226,8 +228,16 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ >= kMaxParseNesting) {
+        return Error("nesting deeper than " +
+                     std::to_string(kMaxParseNesting));
+      }
+      ++depth_;
+      Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       RQ_ASSIGN_OR_RETURN(std::string s, ParseString());
       return JsonValue::String(std::move(s));
@@ -366,6 +376,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -9,11 +9,13 @@
 //
 // Every evaluator runs over an immutable GraphSnapshot (graph/snapshot.h):
 // the CSR arrays are safe to share across threads, so the multi-source
-// entry point fans its sources across the worker pool (common/parallel.h)
-// — one single-source product BFS per worker, answers stitched back in
-// source order. The GraphDb overloads are conveniences that take one
-// snapshot internally; callers issuing several queries against the same
-// graph should snapshot once and reuse it.
+// entry point fans its sources across the process-wide fan-out executor
+// (common/parallel.h) — the caller plus up to jobs - 1 persistent helper
+// threads, each running single-source product BFSs under the caller's
+// deadline and memory pot, answers stitched back in source order. The
+// GraphDb overloads are conveniences that take one snapshot internally;
+// callers issuing several queries against the same graph should snapshot
+// once and reuse it.
 #ifndef RQ_PATHQUERY_PATH_QUERY_H_
 #define RQ_PATHQUERY_PATH_QUERY_H_
 
@@ -38,7 +40,7 @@ struct PathQuery {
 
 // Knobs for the multi-source evaluators.
 struct PathEvalOptions {
-  // Worker threads fanning sources across the pool; 0 means
+  // Workers fanning sources out, the calling thread included; 0 means
   // DefaultParallelJobs() (the process-wide --jobs knob). Values <= 1 run
   // serially on the calling thread.
   unsigned jobs = 0;

@@ -359,7 +359,14 @@ class RegexParser {
         ++pos_;
         return Regex::Epsilon();
       }
-      RQ_ASSIGN_OR_RETURN(RegexPtr inner, ParseUnion());
+      if (depth_ >= kMaxParseNesting) {
+        return InvalidArgumentError("regex: parentheses nested deeper than " +
+                                    std::to_string(kMaxParseNesting));
+      }
+      ++depth_;
+      Result<RegexPtr> inner = ParseUnion();
+      --depth_;
+      if (!inner.ok()) return inner.status();
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ')') {
         return InvalidArgumentError("regex: missing ')'");
@@ -387,6 +394,7 @@ class RegexParser {
   std::string_view text_;
   Alphabet* alphabet_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -149,7 +149,19 @@ class RqParser {
     return out;
   }
 
+  // Every nesting level ('(', exists, tc, eq) re-enters here.
   Result<RqExprPtr> ParseExpr() {
+    if (depth_ >= kMaxParseNesting) {
+      return InvalidArgumentError("rq: nesting deeper than " +
+                                  std::to_string(kMaxParseNesting));
+    }
+    ++depth_;
+    Result<RqExprPtr> expr = ParseOr();
+    --depth_;
+    return expr;
+  }
+
+  Result<RqExprPtr> ParseOr() {
     RQ_ASSIGN_OR_RETURN(RqExprPtr first, ParseAnd());
     std::vector<RqExprPtr> parts{first};
     while (TryConsume('|')) {
@@ -249,6 +261,7 @@ class RqParser {
   std::vector<std::string> names_;
   bool has_explicit_head_ = false;
   std::vector<VarId> explicit_head_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "server/graph_store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -131,6 +132,10 @@ Result<GraphStore::UpdateResult> GraphStore::Apply(
   // Refresh the immutable closure images for every label the batch
   // touched: a demoted label's image is dropped, a maintained one is
   // re-copied (one deep copy per touched label per BATCH, not per edge).
+  std::sort(touched_labels.begin(), touched_labels.end());
+  touched_labels.erase(
+      std::unique(touched_labels.begin(), touched_labels.end()),
+      touched_labels.end());
   for (uint32_t label : touched_labels) {
     const Relation* maintained = closures_.closure(label);
     if (maintained == nullptr) {

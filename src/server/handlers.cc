@@ -50,30 +50,6 @@ obs::JsonValue RenderPathVerdict(const PathContainmentResult& result,
   return out;
 }
 
-// Sorted tuples rendered as arrays of node names, capped at max_tuples.
-void RenderRelation(const GraphDb& graph, const Relation& relation,
-                    int64_t max_tuples, obs::JsonValue* response) {
-  if (max_tuples <= 0) max_tuples = kDefaultMaxTuples;
-  obs::JsonValue tuples = obs::JsonValue::Array();
-  int64_t emitted = 0;
-  for (const Tuple& tuple : relation.SortedTuples()) {
-    if (emitted >= max_tuples) break;
-    obs::JsonValue row = obs::JsonValue::Array();
-    for (Value value : tuple) {
-      row.Append(obs::JsonValue::String(
-          graph.NodeName(static_cast<NodeId>(value))));
-    }
-    tuples.Append(std::move(row));
-    ++emitted;
-  }
-  response->Set("tuples", std::move(tuples));
-  response->Set("count",
-                obs::JsonValue::Number(static_cast<uint64_t>(relation.size())));
-  response->Set("truncated", obs::JsonValue::Bool(
-                                 static_cast<int64_t>(relation.size()) >
-                                 max_tuples));
-}
-
 obs::JsonValue HandleContainment(const Request& request,
                                  const HandlerContext& ctx) {
   (void)ctx;
@@ -84,10 +60,10 @@ obs::JsonValue HandleContainment(const Request& request,
     if (!r1.ok()) return StatusError(request.id, r1.status());
     auto r2 = ParseRegex(request.q2, &alphabet);
     if (!r2.ok()) return StatusError(request.id, r2.status());
-    // Route through the batch engine (one-job batch): the worker-pool
-    // BatchExecGuard chains the job's deadline/budget to the per-request
-    // contexts the server installed, and the shared automata cache
-    // deduplicates sub-constructions across concurrent requests.
+    // Route through the batch engine (one-job batch): the job's
+    // deadline/budget chain to the per-request contexts the server
+    // installed, and the shared automata cache deduplicates
+    // sub-constructions across concurrent requests.
     std::vector<PathContainmentJob> jobs = {{r1->get(), r2->get()}};
     std::vector<PathContainmentResult> results =
         CheckPathContainmentBatch(jobs, alphabet);
@@ -419,6 +395,32 @@ obs::JsonValue HandleSleep(const Request& request, const HandlerContext& ctx) {
 }
 
 }  // namespace
+
+void RenderRelation(const GraphDb& graph, const Relation& relation,
+                    int64_t max_tuples, obs::JsonValue* response) {
+  if (max_tuples <= 0) max_tuples = kDefaultMaxTuples;
+  // Select only the rows rendered, in sorted order, instead of sorting the
+  // whole answer.
+  std::vector<Tuple> rows(
+      std::min(relation.size(), static_cast<size_t>(max_tuples)));
+  std::partial_sort_copy(relation.tuples().begin(), relation.tuples().end(),
+                         rows.begin(), rows.end());
+  obs::JsonValue tuples = obs::JsonValue::Array();
+  for (const Tuple& tuple : rows) {
+    obs::JsonValue row = obs::JsonValue::Array();
+    for (Value value : tuple) {
+      row.Append(obs::JsonValue::String(
+          graph.NodeName(static_cast<NodeId>(value))));
+    }
+    tuples.Append(std::move(row));
+  }
+  response->Set("tuples", std::move(tuples));
+  response->Set("count",
+                obs::JsonValue::Number(static_cast<uint64_t>(relation.size())));
+  response->Set("truncated", obs::JsonValue::Bool(
+                                 static_cast<int64_t>(relation.size()) >
+                                 max_tuples));
+}
 
 obs::JsonValue ExecuteRequest(const Request& request,
                               const HandlerContext& ctx) {

@@ -44,6 +44,12 @@ struct HandlerContext {
 // must bound its response frames).
 inline constexpr int64_t kDefaultMaxTuples = 10000;
 
+// Sets the response's "tuples" to the first max_tuples rows of `relation`
+// in sorted order (kDefaultMaxTuples when max_tuples <= 0), node ids
+// rendered as names, plus its full "count" and whether it was "truncated".
+void RenderRelation(const GraphDb& graph, const Relation& relation,
+                    int64_t max_tuples, obs::JsonValue* response);
+
 // Executes containment / equivalence / eval / stats / sleep requests and
 // returns the complete response document (never throws; failures come back
 // as {"ok": false} responses). kHealth is answered by the server itself —

@@ -64,7 +64,7 @@ QueryServer::~QueryServer() { Stop(); }
 Status QueryServer::Start() {
   RQ_CHECK(state_.load() == State::kIdle);
 
-  // Seed the versioned graph store before any worker exists: epoch 1 is a
+  // Seed the versioned graph store before any request runs: epoch 1 is a
   // frozen copy of the preloaded graph (CSR snapshot + relational image),
   // shared read-only by every request pinned to it. Update batches publish
   // later epochs; requests keep the version they were admitted against.
@@ -115,10 +115,7 @@ Status QueryServer::Start() {
   }
 
   state_.store(State::kServing);
-  workers_.reserve(options_.workers);
-  for (unsigned i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  executor_.Grow(options_.workers);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
@@ -126,12 +123,10 @@ Status QueryServer::Start() {
 void QueryServer::BeginDrain() {
   State expected = State::kServing;
   if (!state_.compare_exchange_strong(expected, State::kDraining)) return;
-  // Wake the accept loop's poll and any idle workers so both observe the
-  // state change.
+  // Wake the accept loop's poll so it observes the state change.
   char byte = 1;
   ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
   (void)ignored;
-  queue_cv_.notify_all();
 }
 
 void QueryServer::Wait() {
@@ -144,26 +139,23 @@ void QueryServer::Wait() {
   }
 
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Workers exit once the queue is empty under drain, which (readers shed
-  // new work during drain) means every admitted request has completed and
-  // its response been written.
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  // The accept loop only exits on drain (or a listen-socket failure, which
+  // drains too). Once the queue lock has been taken after the state
+  // change, every reader sheds new work, so shutting the executor down
+  // runs exactly the admitted requests and writes their responses.
+  BeginDrain();
+  { std::lock_guard<std::mutex> fence(queue_mu_); }
+  executor_.Shutdown();
 
   // In-flight work is done: unblock every reader still parked in recv and
   // join the connection threads.
+  std::unordered_map<uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& [id, conn] : conns_) {
       conn->closed.store(true);
       ::shutdown(conn->fd, SHUT_RDWR);
     }
-  }
-  std::unordered_map<uint64_t, std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
     threads.swap(conn_threads_);
   }
   for (auto& [id, thread] : threads) {
@@ -201,10 +193,7 @@ size_t QueryServer::active_connections() const {
   return conns_.size();
 }
 
-size_t QueryServer::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
-}
+size_t QueryServer::queue_depth() const { return executor_.pending(); }
 
 void QueryServer::ReapFinishedConnections() {
   std::vector<std::thread> finished;
@@ -421,20 +410,23 @@ void QueryServer::HandleFrames(const ConnPtr& conn) {
     }
 
     // Admission control, under the queue lock so the draining check and
-    // the enqueue are atomic with respect to worker shutdown: once a
-    // worker has observed (draining && queue empty) and exited, no reader
-    // can slip another job in.
-    const char* shed_reason = nullptr;
-    bool is_draining = false;
+    // the Post are atomic with respect to Wait()'s fence: once Wait() has
+    // taken the lock after the drain began, no reader can slip another
+    // job in.
+    const char* error = nullptr;
+    const char* reason = nullptr;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (state_.load() != State::kServing) {
-        is_draining = true;
-      } else if (queue_.size() >= options_.max_queue_depth) {
-        shed_reason = "request queue full";
+        error = "draining";
+        reason = "server is draining";
+      } else if (executor_.pending() >= options_.max_queue_depth) {
+        error = "overloaded";
+        reason = "request queue full";
       } else if (options_.max_inflight_bytes > 0 &&
                  server_pot_.total_bytes() > options_.max_inflight_bytes) {
-        shed_reason = "in-flight request memory over threshold";
+        error = "overloaded";
+        reason = "in-flight request memory over threshold";
       } else {
         Job job{conn, std::move(request), GraphView{}, NowNanos()};
         // Pin the graph version at admission: however long the job waits
@@ -443,120 +435,87 @@ void QueryServer::HandleFrames(const ConnPtr& conn) {
             job.request.graph.empty()) {
           job.view = store_.Acquire();
         }
-        queue_.push_back(std::move(job));
-        counters.queue_depth.Set(static_cast<int64_t>(queue_.size()));
+        executor_.Post([this, job = std::move(job)]() mutable {
+          ExecuteJob(job);
+        });
+        counters.queue_depth.Set(static_cast<int64_t>(executor_.pending()));
       }
     }
-    if (is_draining) {
-      WriteResponse(conn, ErrorResponse(request.id, "draining",
-                                        "server is draining"));
-      continue;
-    }
-    if (shed_reason != nullptr) {
-      counters.shed.Increment();
-      WriteResponse(conn,
-                    ErrorResponse(request.id, "overloaded", shed_reason));
-      continue;
-    }
-    queue_cv_.notify_one();
+    if (error == nullptr) continue;
+    if (std::strcmp(error, "overloaded") == 0) counters.shed.Increment();
+    WriteResponse(conn, ErrorResponse(request.id, error, reason));
   }
 }
 
-void QueryServer::WorkerLoop() {
-  auto& counters = obs::ServerCounters::Get();
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !queue_.empty() || state_.load() != State::kServing;
-      });
-      if (queue_.empty()) {
-        if (state_.load() != State::kServing) return;
-        continue;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      counters.queue_depth.Set(static_cast<int64_t>(queue_.size()));
-    }
-    inflight_.fetch_add(1);
-    counters.inflight_requests.Add(1);
-    counters.queue_wait_ns.Record(NowNanos() - job.enqueue_ns);
-    ExecuteJob(job);
-    inflight_.fetch_sub(1);
-    counters.inflight_requests.Add(-1);
-  }
-}
-
-void QueryServer::ExecuteJob(Job& job) {
-  auto& counters = obs::ServerCounters::Get();
-  int64_t timeout_ms =
-      ClipToCap(job.request.timeout_ms, options_.default_timeout_ms,
-                options_.max_timeout_ms);
-  int64_t budget_mb =
-      ClipToCap(job.request.memory_budget_mb,
-                options_.default_memory_budget_mb,
-                options_.max_memory_budget_mb);
-
-  uint64_t start_ns = NowNanos();
-  obs::JsonValue response;
-  // The per-request budget chains to the server-wide pot: every charge the
-  // handler makes also lands there, which is what the admission
-  // controller's in-flight byte threshold reads.
-  MemContext mem_ctx(budget_mb > 0
-                         ? static_cast<uint64_t>(budget_mb) * 1024 * 1024
-                         : 0,
-                     &server_pot_);
-  {
-    ExecContext exec_ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                        : Deadline::Infinite(),
-                         &cancel_);
-    ScopedExecContext scoped_exec(&exec_ctx);
-    ScopedMemContext scoped_mem(&mem_ctx);
-    HandlerContext ctx;
-    ctx.view = std::move(job.view);
-    ctx.store = &store_;
-    ctx.enable_sleep = options_.enable_sleep;
-    response = ExecuteRequest(job.request, ctx);
-  }
-  // Same precedence rqcheck's exit codes pin down (docs/ROBUSTNESS.md
-  // "Which error wins"): when both the deadline and the byte budget
-  // tripped, the request failed for memory.
-  const obs::JsonValue* error = response.Find("error");
-  if (error != nullptr &&
-      error->kind() == obs::JsonValue::Kind::kString &&
-      error->string_value() == "deadline_exceeded" && mem_ctx.exceeded()) {
-    response = ErrorResponse(job.request.id, "resource_exhausted",
-                             "memory budget exceeded (deadline also expired)");
-  }
-  WriteResponse(job.conn, response);
-  counters.request_latency_ns.Record(NowNanos() - start_ns);
-}
-
-obs::JsonValue QueryServer::ExecuteUpdate(const Request& request) {
-  auto& counters = obs::ServerCounters::Get();
+bool QueryServer::RunInRequestContext(const Request& request,
+                                      const std::function<void()>& fn) {
   int64_t timeout_ms =
       ClipToCap(request.timeout_ms, options_.default_timeout_ms,
                 options_.max_timeout_ms);
   int64_t budget_mb =
       ClipToCap(request.memory_budget_mb, options_.default_memory_budget_mb,
                 options_.max_memory_budget_mb);
-  uint64_t start_ns = NowNanos();
-  Result<GraphStore::UpdateResult> applied = [&] {
-    // Same resource envelope as worker-side requests: the incremental
-    // closure maintenance inside Apply polls this context, and its
-    // transient charges land in the server-wide pot.
-    MemContext mem_ctx(budget_mb > 0
-                           ? static_cast<uint64_t>(budget_mb) * 1024 * 1024
-                           : 0,
-                       &server_pot_);
-    ExecContext exec_ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                        : Deadline::Infinite(),
-                         &cancel_);
+  // Every charge the request makes also lands in the server-wide pot,
+  // which is what the admission controller's in-flight byte threshold
+  // reads.
+  MemContext mem_ctx(budget_mb > 0
+                         ? static_cast<uint64_t>(budget_mb) * 1024 * 1024
+                         : 0,
+                     &server_pot_);
+  ExecContext exec_ctx(timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
+                                      : Deadline::Infinite(),
+                       &cancel_);
+  {
     ScopedExecContext scoped_exec(&exec_ctx);
     ScopedMemContext scoped_mem(&mem_ctx);
-    return store_.Apply(request.ops);
-  }();
+    fn();
+  }
+  return mem_ctx.exceeded();
+}
+
+void QueryServer::ExecuteJob(Job& job) {
+  auto& counters = obs::ServerCounters::Get();
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    counters.queue_depth.Set(static_cast<int64_t>(executor_.pending()));
+  }
+  inflight_.fetch_add(1);
+  counters.inflight_requests.Add(1);
+  uint64_t start_ns = NowNanos();
+  counters.queue_wait_ns.Record(start_ns - job.enqueue_ns);
+  obs::JsonValue response;
+  bool out_of_memory = RunInRequestContext(job.request, [&] {
+    HandlerContext ctx;
+    ctx.view = std::move(job.view);
+    ctx.store = &store_;
+    ctx.enable_sleep = options_.enable_sleep;
+    response = ExecuteRequest(job.request, ctx);
+  });
+  // Same precedence rqcheck's exit codes pin down (docs/ROBUSTNESS.md
+  // "Which error wins"): when both the deadline and the byte budget
+  // tripped, the request failed for memory.
+  const obs::JsonValue* error = response.Find("error");
+  if (error != nullptr &&
+      error->kind() == obs::JsonValue::Kind::kString &&
+      error->string_value() == "deadline_exceeded" && out_of_memory) {
+    response = ErrorResponse(job.request.id, "resource_exhausted",
+                             "memory budget exceeded (deadline also expired)");
+  }
+  WriteResponse(job.conn, response);
+  counters.request_latency_ns.Record(NowNanos() - start_ns);
+  inflight_.fetch_sub(1);
+  counters.inflight_requests.Add(-1);
+}
+
+obs::JsonValue QueryServer::ExecuteUpdate(const Request& request) {
+  auto& counters = obs::ServerCounters::Get();
+  uint64_t start_ns = NowNanos();
+  // Same resource envelope as executor-run requests: the incremental
+  // closure maintenance inside Apply polls this context, and its transient
+  // charges land in the server-wide pot.
+  Result<GraphStore::UpdateResult> applied =
+      InternalError("update batch did not run");
+  RunInRequestContext(request, [&] { applied = store_.Apply(request.ops); });
   obs::JsonValue response;
   if (!applied.ok()) {
     response = ErrorResponse(request.id, ErrorCodeForStatus(applied.status()),

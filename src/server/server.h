@@ -11,37 +11,37 @@
 //     store (server/graph_store.h — serialized by the store's writer
 //     mutex, and ordered with this connection's later requests, so a
 //     pipelined update-then-eval reads its own write), and runs ADMISSION
-//     CONTROL: a request is either enqueued on the bounded worker queue —
+//     CONTROL: a request is either posted to the server's executor —
 //     pinning the graph version it will evaluate against — or shed with
-//     an `overloaded` response; the queue never grows past
-//     max_queue_depth and new work is refused while in-flight request
-//     memory exceeds max_inflight_bytes, so overload degrades into fast
-//     rejections instead of unbounded buffering;
-//   * `workers` worker threads popping the queue. Each request runs under
-//     a fresh ExecContext deadline and MemContext budget derived from the
+//     an `overloaded` response; no more than max_queue_depth admitted
+//     requests wait for a thread, and new work is refused while in-flight
+//     request memory exceeds max_inflight_bytes, so overload degrades
+//     into fast rejections instead of unbounded buffering;
+//   * one Executor (common/parallel.h) of `workers` threads running the
+//     admitted requests in FIFO order. Each request runs under a fresh
+//     ExecContext deadline and MemContext budget derived from the
 //     request's timeout_ms / memory_budget_mb clipped to the server caps;
 //     request MemContexts chain to one server-wide pot, which is what the
 //     in-flight byte threshold reads. The containment/eval handlers reuse
-//     the batch engine and the shared automata cache, so the cache stays
-//     warm across requests.
+//     the batch engine, the process-wide fan-out executor
+//     (common/parallel.h) and the shared automata cache, so the cache
+//     stays warm across requests and no request starts a thread.
 //
 // Graceful drain (SIGTERM in rqserved): BeginDrain() stops accepting,
-// requests already queued or running complete and their responses are
+// requests already admitted or running complete and their responses are
 // written, later frames on live connections get `draining` responses, and
-// Wait() returns once the workers have emptied the queue and every
-// connection is torn down (flushing the flight-recorder dump if
+// Wait() returns once the executor has run every admitted request and
+// every connection is torn down (flushing the flight-recorder dump if
 // configured). All server.* counters/gauges/histograms are documented in
 // docs/OBSERVABILITY.md.
 #ifndef RQ_SERVER_SERVER_H_
 #define RQ_SERVER_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -49,6 +49,7 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "graph/graph_db.h"
 #include "relational/relation.h"
@@ -66,10 +67,10 @@ struct ServerOptions {
   unsigned workers = 4;
 
   // Admission control: shed (respond `overloaded`) instead of queueing
-  // once this many requests await a worker, refuse new connections past
-  // max_connections, and shed new requests while the server-wide memory
-  // pot of in-flight requests exceeds max_inflight_bytes (0 = no byte
-  // threshold).
+  // once this many admitted requests await a thread, refuse new
+  // connections past max_connections, and shed new requests while the
+  // server-wide memory pot of in-flight requests exceeds
+  // max_inflight_bytes (0 = no byte threshold).
   size_t max_queue_depth = 128;
   size_t max_connections = 1024;
   uint64_t max_inflight_bytes = 0;
@@ -111,7 +112,7 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Binds, listens, and spawns the accept/worker threads. Fails (and
+  // Binds, listens, and starts the accept and request threads. Fails (and
   // leaves the server stopped) if the address cannot be bound.
   Status Start();
 
@@ -158,7 +159,7 @@ class QueryServer {
     ConnPtr conn;
     Request request;
     // Graph version pinned at ADMISSION: the request evaluates against
-    // this view no matter how many update batches publish before a worker
+    // this view no matter how many update batches publish before a thread
     // picks it up (docs/SERVING.md "Updates").
     GraphView view;
     uint64_t enqueue_ns = 0;
@@ -168,8 +169,12 @@ class QueryServer {
   void ConnectionLoop(ConnPtr conn, uint64_t conn_id);
   void ServeHttp(const ConnPtr& conn);
   void HandleFrames(const ConnPtr& conn);
-  void WorkerLoop();
   void ExecuteJob(Job& job);
+  // Runs `fn` under the request's deadline and memory budget (timeout_ms
+  // and memory_budget_mb clipped to the server caps; the budget chains to
+  // the server-wide pot). Returns whether the memory budget tripped.
+  bool RunInRequestContext(const Request& request,
+                           const std::function<void()>& fn);
   // Applies one update batch against the graph store (on the connection
   // reader thread, so per-connection pipelining reads its own writes).
   obs::JsonValue ExecuteUpdate(const Request& request);
@@ -194,11 +199,11 @@ class QueryServer {
   CancelToken cancel_;
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
 
+  // Held across each admission decision and its Post, so Wait() can fence
+  // off further admissions before shutting the executor down.
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
+  Executor executor_;
   std::atomic<size_t> inflight_{0};
 
   mutable std::mutex conns_mu_;

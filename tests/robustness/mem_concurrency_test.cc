@@ -1,7 +1,7 @@
 // Memory accounting under real concurrency (ctest label `memv1`, tsan
 // binary): MemContext::ChildOf mirrors charging one shared pot from many
 // threads, budget trips racing across mirrors, and the two fan-out sites
-// that build per-worker mirrors (the batch containment pool and parallel
+// whose helpers charge through mirrors (batch containment and parallel
 // multi-source graph evaluation). ThreadSanitizer checks the atomics; the
 // asserts check that concurrent charges aggregate exactly and that budget
 // trips are sticky and coherent on every thread.
@@ -190,7 +190,7 @@ TEST(MemConcurrencyTest, ParallelMultiSourceEvalChargesCallerPot) {
   const auto parallel = EvalPathQueryFromSources(*snapshot, nfa, sources,
                                                  PathEvalOptions{.jobs = 8});
   EXPECT_EQ(parallel, serial);
-  // The per-worker mirrors charged BFS bitsets/frontiers into this pot.
+  // The helpers' mirrors charged BFS bitsets/frontiers into this pot.
   EXPECT_GT(root.peak_subsystem_bytes(MemSubsystem::kGraph), 0u);
   EXPECT_EQ(root.total_bytes(), 0u);
 }

@@ -155,6 +155,62 @@ TEST(GraphStoreTest, FreshSeedPublishesClosureAtSameEpoch) {
   EXPECT_EQ(reseen.Closure(0)->size(), 9u);
 }
 
+// The transitive closure of `label`'s edges in `graph`, by one BFS per
+// source: the reference a maintained closure image must equal.
+Relation BfsClosure(const GraphDb& graph, uint32_t label) {
+  Relation closure(2);
+  for (NodeId src = 0; src < graph.num_nodes(); ++src) {
+    std::vector<bool> seen(graph.num_nodes(), false);
+    std::vector<NodeId> frontier = {src};
+    while (!frontier.empty()) {
+      NodeId node = frontier.back();
+      frontier.pop_back();
+      for (NodeId next : graph.Successors(node, ForwardSymbolOf(label))) {
+        if (seen[next]) continue;
+        seen[next] = true;
+        closure.Insert({src, next});
+        frontier.push_back(next);
+      }
+    }
+  }
+  return closure;
+}
+
+TEST(GraphStoreTest, BatchOfOneLabelsEdgesRefreshesItsClosureImage) {
+  auto graph = GraphDb::FromText("a knows b\nc knows d\n");
+  ASSERT_TRUE(graph.ok());
+  GraphStore store;
+  store.Load(*graph);
+  GraphView view = store.Acquire();
+  uint32_t knows = view.graph->alphabet().FindLabel("knows").value();
+  Relation base(2);
+  for (const Edge& e : view.graph->edges()) base.Insert({e.src, e.dst});
+  store.SeedClosure(view, knows, base, BfsClosure(*view.graph, knows));
+  ASSERT_NE(store.Acquire().Closure(knows), nullptr);
+
+  // Several edges of the one maintained label in a single batch, chaining
+  // the two components and closing a cycle through a new node.
+  std::vector<UpdateOp> ops;
+  for (auto [src, dst] : {std::pair{"b", "c"}, std::pair{"d", "e"},
+                          std::pair{"e", "a"}, std::pair{"b", "d"}}) {
+    UpdateOp op;
+    op.kind = UpdateOp::Kind::kAddEdge;
+    op.src = src;
+    op.label = "knows";
+    op.dst = dst;
+    ops.push_back(op);
+  }
+  auto applied = store.Apply(ops);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->edges_added, 4u);
+
+  GraphView after = store.Acquire();
+  ASSERT_NE(after.Closure(knows), nullptr);
+  Relation expected = BfsClosure(*after.graph, knows);
+  EXPECT_EQ(expected.size(), 25u);  // one 5-node cycle
+  EXPECT_EQ(after.Closure(knows)->SortedTuples(), expected.SortedTuples());
+}
+
 // --- End-to-end server tests ---------------------------------------------
 
 TEST(MutationTest, UpdateBatchAddsNodesAndEdgesAndBumpsEpoch) {

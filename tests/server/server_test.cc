@@ -5,15 +5,24 @@
 // ephemeral ports, so the binary is hermetic.
 #include "server/server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
 #include "obs/json.h"
+#include "relational/relation.h"
 #include "server/client.h"
+#include "server/handlers.h"
 #include "server/protocol.h"
 
 namespace rq {
@@ -145,6 +154,32 @@ TEST(QueryServerTest, AnswerSetsAreCappedAtMaxTuples) {
   server.DrainAndWait();
 }
 
+TEST(RenderRelationTest, TruncatedAnswerIsTheSortedPrefix) {
+  auto graph = GraphDb::FromText("n0 e n1\nn2 e n3\nn4 e n5\n");
+  ASSERT_TRUE(graph.ok());
+  // Inserted in descending order, so the relation's own order is the
+  // reverse of the rendered one.
+  Relation relation(2);
+  for (Value x = 6; x-- > 0;) {
+    for (Value y = 6; y-- > 0;) relation.Insert({x, y});
+  }
+  std::vector<Tuple> sorted = relation.SortedTuples();
+  for (int64_t max_tuples : {int64_t{5}, int64_t{36}, int64_t{100}}) {
+    obs::JsonValue response = obs::JsonValue::Object();
+    RenderRelation(*graph, relation, max_tuples, &response);
+    const auto& rows = response.Find("tuples")->items();
+    ASSERT_EQ(rows.size(), std::min<size_t>(36, max_tuples));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].items()[0].string_value(),
+                graph->NodeName(static_cast<NodeId>(sorted[i][0])));
+      EXPECT_EQ(rows[i].items()[1].string_value(),
+                graph->NodeName(static_cast<NodeId>(sorted[i][1])));
+    }
+    EXPECT_EQ(response.Find("count")->number_value(), 36);
+    EXPECT_EQ(response.Find("truncated")->bool_value(), max_tuples < 36);
+  }
+}
+
 TEST(QueryServerTest, MalformedFramesGetInvalidRequestResponses) {
   QueryServer server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
@@ -167,6 +202,38 @@ TEST(QueryServerTest, MalformedFramesGetInvalidRequestResponses) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(ErrorCode(*response), "invalid_request");
 
+  server.DrainAndWait();
+}
+
+// A frame of 10^4 nested '[' used to overflow the reader thread's stack
+// in the JSON parser and take the whole server down.
+TEST(QueryServerTest, DeeplyNestedFrameIsRejectedAndOthersAreServed) {
+  QueryServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto bystander = BlockingClient::Connect(kHost, server.port());
+  ASSERT_TRUE(bystander.ok());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(WriteFrame(fd, std::string(10000, '[')).ok());
+  std::string payload;
+  bool clean_eof = false;
+  ASSERT_TRUE(ReadFrame(fd, &payload, &clean_eof).ok());
+  ASSERT_FALSE(clean_eof);
+  auto response = obs::JsonValue::Parse(payload);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(ErrorCode(*response), "invalid_request");
+  ::close(fd);
+
+  auto health = bystander->Call(Req("health", 7));
+  ASSERT_TRUE(health.ok());
+  EXPECT_TRUE(health->Find("ok")->bool_value());
   server.DrainAndWait();
 }
 

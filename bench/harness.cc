@@ -49,20 +49,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
 #include "common/mem.h"
 #include "common/parallel.h"
-#include "obs/chrome_trace.h"
+#include "obs/cli.h"
 #include "obs/counters.h"
 #include "obs/export.h"
 #include "obs/gauge.h"
 #include "obs/histogram.h"
-#include "obs/prometheus.h"
 #include "obs/trace.h"
 
 namespace {
@@ -133,8 +132,8 @@ rq::obs::JsonValue ReportJson(const std::string& binary, bool smoke,
 
 int main(int argc, char** argv) {
   std::string json_path;
-  std::string chrome_trace_path;
-  std::string prometheus_path;
+  // Only the two outputs whose flags mean the same here as in the CLIs.
+  rq::obs::CliOutputs outputs;
   bool smoke = false;
   bool trace = false;
   bool cache = false;
@@ -144,40 +143,31 @@ int main(int argc, char** argv) {
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   static std::string min_time_flag = "--benchmark_min_time=0.001";
+  std::string value;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--chrome-trace") == 0 && i + 1 < argc) {
-      chrome_trace_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--chrome-trace=", 15) == 0) {
-      chrome_trace_path = argv[i] + 15;
-    } else if (std::strcmp(argv[i], "--prometheus") == 0 && i + 1 < argc) {
-      prometheus_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--prometheus=", 13) == 0) {
-      prometheus_path = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    std::string_view arg = argv[i];
+    if (rq::obs::TakeFlagValue("--json", argc, argv, &i, &json_path) ||
+        rq::obs::TakeFlagValue("--chrome-trace", argc, argv, &i,
+                               &outputs.chrome_trace) ||
+        rq::obs::TakeFlagValue("--prometheus", argc, argv, &i,
+                               &outputs.prometheus)) {
+      continue;
+    }
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
+    } else if (arg == "--trace") {
       trace = true;
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
+    } else if (arg == "--cache") {
       cache = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    } else if (rq::obs::TakeFlagValue("--jobs", argc, argv, &i, &value)) {
       rq::SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      rq::SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10)));
-    } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      timeout_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      timeout_ms = std::strtoll(argv[i] + 13, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
-               i + 1 < argc) {
-      memory_budget_mb = std::strtoll(argv[++i], nullptr, 10);
-    } else if (std::strncmp(argv[i], "--memory-budget-mb=", 19) == 0) {
-      memory_budget_mb = std::strtoll(argv[i] + 19, nullptr, 10);
+          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10)));
+    } else if (rq::obs::TakeFlagValue("--timeout-ms", argc, argv, &i,
+                                      &value)) {
+      timeout_ms = std::strtoll(value.c_str(), nullptr, 10);
+    } else if (rq::obs::TakeFlagValue("--memory-budget-mb", argc, argv, &i,
+                                      &value)) {
+      memory_budget_mb = std::strtoll(value.c_str(), nullptr, 10);
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -196,7 +186,7 @@ int main(int argc, char** argv) {
   rq::obs::GaugeRegistry::Global().ResetAll();
   rq::obs::HistogramRegistry::Global().ResetAll();
   // A Chrome trace needs full rows; --trace alone stays aggregate-only.
-  rq::obs::SetTraceMode(!chrome_trace_path.empty()
+  rq::obs::SetTraceMode(!outputs.chrome_trace.empty()
                             ? rq::obs::TraceMode::kFull
                         : trace ? rq::obs::TraceMode::kAggregate
                                 : rq::obs::TraceMode::kDisabled);
@@ -231,19 +221,10 @@ int main(int argc, char** argv) {
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
   }
-  if (!chrome_trace_path.empty()) {
-    rq::Status status = rq::obs::WriteChromeTraceFile(chrome_trace_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (!prometheus_path.empty()) {
-    rq::Status status = rq::obs::WritePrometheusTextFile(prometheus_path);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+  std::string error = outputs.Finish();
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
   return 0;
 }

@@ -70,12 +70,7 @@
 #include "containment/containment.h"
 #include "rq/equivalence.h"
 #include "crpq/crpq.h"
-#include "obs/chrome_trace.h"
-#include "obs/export.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
-#include "obs/prometheus.h"
-#include "obs/trace.h"
+#include "obs/cli.h"
 #include "pathquery/containment.h"
 #include "relational/cq.h"
 #include "rq/parser.h"
@@ -225,58 +220,24 @@ int RunCheck(const std::string& cls, const std::string& t1,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool trace = false;
-  bool profile_text = false;
-  std::string profile_json;
-  std::string stats_json;
-  std::string chrome_trace;
-  std::string flight_dump;
-  std::string prometheus;
+  obs::CliOutputs outputs;
+  std::string value;
   int64_t timeout_ms = 0;
   int64_t memory_budget_mb = 0;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--profile") {
-      profile_text = true;
-    } else if (arg == "--profile-json" && i + 1 < argc) {
-      profile_json = argv[++i];
-    } else if (arg.rfind("--profile-json=", 0) == 0) {
-      profile_json = arg.substr(15);
-    } else if (arg == "--flight-dump" && i + 1 < argc) {
-      flight_dump = argv[++i];
-    } else if (arg.rfind("--flight-dump=", 0) == 0) {
-      flight_dump = arg.substr(14);
-    } else if (arg == "--prometheus" && i + 1 < argc) {
-      prometheus = argv[++i];
-    } else if (arg.rfind("--prometheus=", 0) == 0) {
-      prometheus = arg.substr(13);
-    } else if (arg == "--cache") {
+    if (outputs.TakeFlag(argc, argv, &i)) continue;
+    if (arg == "--cache") {
       cache::AutomataCache::Global().SetEnabled(true);
-    } else if (arg == "--jobs" && i + 1 < argc) {
+    } else if (obs::TakeFlagValue("--jobs", argc, argv, &i, &value)) {
       SetDefaultContainmentJobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      SetDefaultContainmentJobs(
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      timeout_ms = std::strtoll(arg.c_str() + 13, nullptr, 10);
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      memory_budget_mb = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
-      memory_budget_mb = std::strtoll(arg.c_str() + 19, nullptr, 10);
-    } else if (arg == "--stats-json" && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json = arg.substr(13);
-    } else if (arg == "--chrome-trace" && i + 1 < argc) {
-      chrome_trace = argv[++i];
-    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
-      chrome_trace = arg.substr(15);
+          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10)));
+    } else if (obs::TakeFlagValue("--timeout-ms", argc, argv, &i, &value)) {
+      timeout_ms = std::strtoll(value.c_str(), nullptr, 10);
+    } else if (obs::TakeFlagValue("--memory-budget-mb", argc, argv, &i,
+                                  &value)) {
+      memory_budget_mb = std::strtoll(value.c_str(), nullptr, 10);
     } else {
       positional.push_back(std::move(arg));
     }
@@ -289,25 +250,16 @@ int main(int argc, char** argv) {
         "[--timeout-ms N] [--memory-budget-mb N] "
         "<rpq|2rpq|cq|ucq|uc2rpq|rq|rq-equiv|datalog> <q1> <q2>");
   }
-  // Full tracing when any flag needs span data; counters always run.
-  if (trace || !stats_json.empty() || !chrome_trace.empty()) {
-    obs::SetTraceMode(obs::TraceMode::kFull);
-  }
-  obs::InstallFlightSignalHandler();
-
   const std::string cls = positional[0];
   const std::string q1 = LoadArg(positional[1]);
   const std::string q2 = LoadArg(positional[2]);
-  obs::SetFlightQueryLabel(cls + " " + q1 + " <= " + q2);
-
-  obs::QueryProfile profile;
-  const bool profiling = profile_text || !profile_json.empty();
-  if (profiling) profile.Begin("rqcheck", cls, q1 + "  <=  " + q2);
+  outputs.Begin("rqcheck", cls, q1 + "  <=  " + q2,
+                cls + " " + q1 + " <= " + q2);
 
   // The check always runs under a MemContext (budget 0 = unlimited), so
   // the per-subsystem peak-byte breakdown lands in --profile output and
   // the flight recorder's mem_peak field even without a budget. The
-  // context stays installed through profile.End(), which samples it.
+  // context stays installed through outputs.Finish(), which samples it.
   MemContext mem_ctx(memory_budget_mb > 0
                          ? static_cast<uint64_t>(memory_budget_mb) * 1024 *
                                1024
@@ -330,31 +282,6 @@ int main(int argc, char** argv) {
   // mirrors count too.
   if (code == 3 && mem_ctx.exceeded()) code = 4;
 
-  if (profiling) {
-    profile.End();
-    if (profile_text) std::fputs(profile.ToText().c_str(), stdout);
-    if (!profile_json.empty()) {
-      std::ofstream out(profile_json);
-      out << profile.ToJson().Dump(2) << '\n';
-      if (!out) return Fail("cannot write " + profile_json);
-    }
-  }
-  if (trace) obs::PrintSpanTree(stderr);
-  if (!stats_json.empty()) {
-    Status status = obs::WriteSnapshotJsonFile(stats_json);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!chrome_trace.empty()) {
-    Status status = obs::WriteChromeTraceFile(chrome_trace);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!flight_dump.empty()) {
-    Status status = obs::WriteFlightDump(flight_dump);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!prometheus.empty()) {
-    Status status = obs::WritePrometheusTextFile(prometheus);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  return code;
+  std::string error = outputs.Finish();
+  return error.empty() ? code : Fail(error);
 }

@@ -65,12 +65,7 @@
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
 #include "graph/graph_db.h"
-#include "obs/chrome_trace.h"
-#include "obs/export.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
-#include "obs/prometheus.h"
-#include "obs/trace.h"
+#include "obs/cli.h"
 #include "pathquery/path_query.h"
 #include "rq/eval.h"
 #include "rq/parser.h"
@@ -156,58 +151,24 @@ int RunEval(const std::string& graph_file, const std::string& cls,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool trace = false;
-  bool profile_text = false;
-  std::string profile_json;
-  std::string stats_json;
-  std::string chrome_trace;
-  std::string flight_dump;
-  std::string prometheus;
+  obs::CliOutputs outputs;
+  std::string value;
   int64_t timeout_ms = 0;
   int64_t memory_budget_mb = 0;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--profile") {
-      profile_text = true;
-    } else if (arg == "--profile-json" && i + 1 < argc) {
-      profile_json = argv[++i];
-    } else if (arg.rfind("--profile-json=", 0) == 0) {
-      profile_json = arg.substr(15);
-    } else if (arg == "--flight-dump" && i + 1 < argc) {
-      flight_dump = argv[++i];
-    } else if (arg.rfind("--flight-dump=", 0) == 0) {
-      flight_dump = arg.substr(14);
-    } else if (arg == "--prometheus" && i + 1 < argc) {
-      prometheus = argv[++i];
-    } else if (arg.rfind("--prometheus=", 0) == 0) {
-      prometheus = arg.substr(13);
-    } else if (arg == "--cache") {
+    if (outputs.TakeFlag(argc, argv, &i)) continue;
+    if (arg == "--cache") {
       cache::AutomataCache::Global().SetEnabled(true);
-    } else if (arg == "--jobs" && i + 1 < argc) {
+    } else if (obs::TakeFlagValue("--jobs", argc, argv, &i, &value)) {
       SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      SetDefaultParallelJobs(
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 7, nullptr, 10)));
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      timeout_ms = std::strtoll(arg.c_str() + 13, nullptr, 10);
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      memory_budget_mb = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg.rfind("--memory-budget-mb=", 0) == 0) {
-      memory_budget_mb = std::strtoll(arg.c_str() + 19, nullptr, 10);
-    } else if (arg == "--stats-json" && i + 1 < argc) {
-      stats_json = argv[++i];
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json = arg.substr(13);
-    } else if (arg == "--chrome-trace" && i + 1 < argc) {
-      chrome_trace = argv[++i];
-    } else if (arg.rfind("--chrome-trace=", 0) == 0) {
-      chrome_trace = arg.substr(15);
+          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10)));
+    } else if (obs::TakeFlagValue("--timeout-ms", argc, argv, &i, &value)) {
+      timeout_ms = std::strtoll(value.c_str(), nullptr, 10);
+    } else if (obs::TakeFlagValue("--memory-budget-mb", argc, argv, &i,
+                                  &value)) {
+      memory_budget_mb = std::strtoll(value.c_str(), nullptr, 10);
     } else {
       positional.push_back(std::move(arg));
     }
@@ -220,22 +181,12 @@ int main(int argc, char** argv) {
         "[--timeout-ms N] [--memory-budget-mb N] "
         "<graph-file> <path|crpq|rq|datalog> <query>");
   }
-  // Full tracing when any flag needs span data; counters always run.
-  if (trace || !stats_json.empty() || !chrome_trace.empty()) {
-    obs::SetTraceMode(obs::TraceMode::kFull);
-  }
-  obs::InstallFlightSignalHandler();
-
   const std::string query = LoadArg(positional[2]);
-  obs::SetFlightQueryLabel(positional[1] + " " + query);
-
-  obs::QueryProfile profile;
-  const bool profiling = profile_text || !profile_json.empty();
-  if (profiling) profile.Begin("rqeval", positional[1], query);
+  outputs.Begin("rqeval", positional[1], query, positional[1] + " " + query);
 
   // The evaluation always runs under a MemContext (budget 0 = unlimited)
   // so --profile reports the per-subsystem peak-byte breakdown; the
-  // context stays installed through profile.End(), which samples it.
+  // context stays installed through outputs.Finish(), which samples it.
   MemContext mem_ctx(memory_budget_mb > 0
                          ? static_cast<uint64_t>(memory_budget_mb) * 1024 *
                                1024
@@ -256,31 +207,6 @@ int main(int argc, char** argv) {
   // shared pot, so trips latched on worker mirrors count too).
   if (code == 2 && mem_ctx.exceeded()) code = 4;
 
-  if (profiling) {
-    profile.End();
-    if (profile_text) std::fputs(profile.ToText().c_str(), stdout);
-    if (!profile_json.empty()) {
-      std::ofstream out(profile_json);
-      out << profile.ToJson().Dump(2) << '\n';
-      if (!out) return Fail("cannot write " + profile_json);
-    }
-  }
-  if (trace) obs::PrintSpanTree(stderr);
-  if (!stats_json.empty()) {
-    Status status = obs::WriteSnapshotJsonFile(stats_json);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!chrome_trace.empty()) {
-    Status status = obs::WriteChromeTraceFile(chrome_trace);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!flight_dump.empty()) {
-    Status status = obs::WriteFlightDump(flight_dump);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  if (!prometheus.empty()) {
-    Status status = obs::WritePrometheusTextFile(prometheus);
-    if (!status.ok()) return Fail(status.ToString());
-  }
-  return code;
+  std::string error = outputs.Finish();
+  return error.empty() ? code : Fail(error);
 }

@@ -12,8 +12,8 @@
 #include "cache/automata_cache.h"
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -22,14 +22,14 @@ namespace {
 // Flushes one finished check into the containment counter vocabulary
 // (docs/OBSERVABILITY.md). Counts are batched per check, not per node, so
 // the search loops stay free of shared-memory traffic.
-void RecordCheck(obs::ScopedSpan& span,
+void RecordCheck(obs::OpScope& op,
                  const LanguageContainmentResult& result) {
   obs::ContainmentCounters& counters = obs::ContainmentCounters::Get();
   counters.checks.Increment();
   counters.states_explored.Add(result.explored_states);
   counters.states_explored_per_check.Record(result.explored_states);
   if (!result.contained) counters.refuted.Increment();
-  span.AddAttr("states_explored", result.explored_states);
+  op.Attr("states_explored", result.explored_states);
 }
 
 struct PairKey {
@@ -281,12 +281,12 @@ LanguageContainmentResult CheckLanguageContainmentExplicitImpl(const Nfa& a,
   return result;
 }
 
-// Shared wrapper: consult the verdict cache, otherwise run `impl` under a
-// span and flush the containment counters. On a cache hit only cache.*
+// Shared wrapper: consult the verdict cache, otherwise run `impl` under an
+// op and flush the containment counters. On a cache hit only cache.*
 // counters move — containment.checks / states_explored track actual
 // decision-procedure work (docs/OBSERVABILITY.md).
 template <typename Impl>
-LanguageContainmentResult CheckWithVerdictCache(const char* span_name,
+LanguageContainmentResult CheckWithVerdictCache(const char* op_name,
                                                 const char* algo,
                                                 const Nfa& a, const Nfa& b,
                                                 Impl impl) {
@@ -296,9 +296,9 @@ LanguageContainmentResult CheckWithVerdictCache(const char* span_name,
     key = cache::VerdictKey(algo, a, b);
     if (auto hit = ac.verdict().Get(key)) return *hit;
   }
-  RQ_TRACE_SPAN_VAR(span, span_name);
+  obs::OpScope op(op_name);
   LanguageContainmentResult result = impl(a, b);
-  RecordCheck(span, result);
+  RecordCheck(op, result);
   // Never cache a verdict cut short by deadline/cancellation — it is not a
   // verdict, and the key would otherwise serve it to unbounded callers.
   if (ac.enabled() && result.status.ok()) {

@@ -1,34 +1,27 @@
 #include "common/deadline.h"
 
-#include <chrono>
-
+#include "common/clock.h"
 #include "common/mem.h"
 #include "obs/subsystems.h"
 
 namespace rq {
 namespace {
 
-int64_t SteadyNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 thread_local ExecContext* g_current_exec_context = nullptr;
 
 }  // namespace
 
 Deadline Deadline::AfterNanos(int64_t ns) {
-  return Deadline(SteadyNowNanos() + ns);
+  return Deadline(static_cast<int64_t>(SteadyNowNs()) + ns);
 }
 
 bool Deadline::Expired() const {
-  return ns_ != kInfiniteNs && SteadyNowNanos() >= ns_;
+  return ns_ != kInfiniteNs && static_cast<int64_t>(SteadyNowNs()) >= ns_;
 }
 
 int64_t Deadline::RemainingNanos() const {
   if (ns_ == kInfiniteNs) return kInfiniteNs;
-  return ns_ - SteadyNowNanos();
+  return ns_ - static_cast<int64_t>(SteadyNowNs());
 }
 
 ExecContext* ExecContext::Current() { return g_current_exec_context; }

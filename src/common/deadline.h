@@ -5,9 +5,8 @@
 // in the library polls a lightweight ExecContext — a steady-clock Deadline
 // plus an optional shared CancelToken — and unwinds with kDeadlineExceeded
 // or kCancelled instead of hanging. The context is installed thread-locally
-// (ScopedExecContext), mirroring the obs::QueryProfile::Active() idiom, so
-// deep loops consult it through CheckExecContext() without threading a
-// parameter through every signature.
+// (ScopedExecContext), so deep loops consult it through CheckExecContext()
+// without threading a parameter through every signature.
 //
 // Cost model: CheckExecContext() with no context installed is one
 // thread-local load and a branch. With a context it adds one relaxed

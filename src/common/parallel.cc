@@ -7,7 +7,7 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
-#include "obs/flight_recorder.h"
+#include "obs/op.h"
 
 namespace rq {
 
@@ -71,7 +71,7 @@ struct FanOutState {
   const std::function<void(unsigned, size_t)>* work;
   const ExecContext* exec;
   const MemContext* mem;
-  uint32_t flight_depth;
+  const obs::OpScope* op;
   std::atomic<size_t> next{0};
   std::atomic<unsigned> joined{0};
   std::mutex mu;
@@ -105,7 +105,7 @@ void RunHelper(FanOutState& state) {
     MemContext mem = MemContext::ChildOf(state.mem);
     ScopedExecContext scoped_exec(&exec);
     ScopedMemContext scoped_mem(state.mem != nullptr ? &mem : nullptr);
-    obs::ScopedFlightDepth depth(state.flight_depth);
+    obs::OpScope::Adopt adopt(state.op);
     ran = state.RunTickets(worker, first);
   }
   // Published after the scopes close: once the caller sees every ticket
@@ -127,14 +127,17 @@ unsigned DefaultParallelJobs() {
 
 void ParallelForWorker(size_t n, unsigned jobs,
                        const std::function<void(unsigned, size_t)>& work) {
+  // The caller's own tickets run under its op too, so an op that `work`
+  // opens is a fan-out job (obs/op.h) whichever thread runs it.
+  const obs::OpScope* op = obs::OpScope::Current();
+  obs::OpScope::Adopt adopt(op);
   if (jobs <= 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) work(0, i);
     return;
   }
   unsigned workers = static_cast<unsigned>(std::min<size_t>(jobs, n));
   auto state = std::make_shared<FanOutState>(
-      n, &work, ExecContext::Current(), MemContext::Current(),
-      obs::FlightDepth());
+      n, &work, ExecContext::Current(), MemContext::Current(), op);
   Executor& executor = FanOutExecutor();
   executor.Grow(workers);
   for (unsigned h = 1; h < workers; ++h) {

@@ -25,8 +25,9 @@
 // Each helper runs its tickets under the caller's context: a child of the
 // caller's ExecContext (deadline and cancel token), a mirror of the
 // caller's MemContext when it has one (same pot and budget), and the
-// caller's FlightTimer nesting depth. Work behaves the same whichever
-// thread runs it.
+// caller's op (obs/op.h), which carries its nesting depth for the flight
+// recorder. Work behaves the same whichever thread runs it, and an op the
+// work opens counts as one job in the active profile's per-thread rows.
 //
 // The fan-out executor grows to the largest min(jobs, n) any call has
 // asked for (or the largest default set below) and never shrinks.
@@ -80,7 +81,7 @@ unsigned DefaultParallelJobs();
 
 // work(worker, i) receives the dense id of the thread running it, so
 // callers can keep per-worker accumulators that exactly one thread
-// touches (the batch engine's profile rows, obs/profile.h).
+// touches.
 void ParallelForWorker(size_t n, unsigned jobs,
                        const std::function<void(unsigned, size_t)>& work);
 

@@ -1,6 +1,5 @@
 #include "containment/batch.h"
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -8,20 +7,12 @@
 #include "common/mem.h"
 #include "common/parallel.h"
 #include "common/status.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // The body of both batch entry points: runs check(*lhs, *rhs) for every
 // job on the fan-out executor (common/parallel.h), wrapped in the batch
@@ -47,18 +38,18 @@ uint64_t SteadyNowNs() {
 // accounting, and a trip of either budget fails the job with
 // kResourceExhausted at its next poll.
 //
-// Per-worker delta isolation for the profiler: when a query profile is
-// active (obs/profile.h), each worker accumulates its own job count and
-// busy wall-time in a slot only it touches, and the rows are flushed to
-// the profile once the fan-out returns — worker attribution without any
-// shared mutable state inside the job loop.
+// Per-worker rows in an active profile come from the jobs' own ops: a
+// check opens one directly under the batch's op, which the fan-out turns
+// into a job of the thread that ran it (obs/op.h, obs/profile.h). A job
+// refused before it starts, or an automaton pair answered from the
+// verdict cache, opens no op and is not counted.
 template <typename JobResult, typename Job, typename Check>
 std::vector<JobResult> RunBatch(const char* entry, const char* operand,
                                 const std::vector<Job>& jobs,
                                 const ContainmentBatchOptions& options,
                                 Check check) {
-  RQ_TRACE_SPAN_VAR(span, "containment.batch");
-  span.AddAttr("jobs", jobs.size());
+  obs::OpScope op("containment.batch");
+  op.Attr("jobs", jobs.size());
   obs::BatchCounters& counters = obs::BatchCounters::Get();
   counters.batches.Increment();
   counters.batch_checks.Add(jobs.size());
@@ -69,12 +60,6 @@ std::vector<JobResult> RunBatch(const char* entry, const char* operand,
   counters.queue_depth.Add(static_cast<int64_t>(jobs.size()));
   unsigned workers =
       options.jobs != 0 ? options.jobs : DefaultContainmentJobs();
-  obs::QueryProfile* profile = obs::QueryProfile::Active();
-  struct WorkerStats {
-    uint64_t jobs = 0;
-    uint64_t busy_ns = 0;
-  };
-  std::vector<WorkerStats> per_worker(profile != nullptr ? workers : 0);
   std::vector<JobResult> results(jobs.size());
   CancelToken first_error;
 
@@ -119,18 +104,10 @@ std::vector<JobResult> RunBatch(const char* entry, const char* operand,
     }
     if (!result.status.ok() && options.cancel_on_error) first_error.Cancel();
   };
-  ParallelForWorker(jobs.size(), workers, [&](unsigned worker, size_t i) {
-    uint64_t begin = profile != nullptr ? SteadyNowNs() : 0;
+  ParallelForWorker(jobs.size(), workers, [&](unsigned, size_t i) {
     run_job(i, results[i]);
     counters.queue_depth.Sub(1);
-    if (profile == nullptr) return;
-    ++per_worker[worker].jobs;
-    per_worker[worker].busy_ns += SteadyNowNs() - begin;
   });
-  for (unsigned w = 0; w < per_worker.size(); ++w) {
-    if (per_worker[w].jobs == 0) continue;
-    profile->RecordWorker(w, per_worker[w].jobs, per_worker[w].busy_ns);
-  }
   return results;
 }
 

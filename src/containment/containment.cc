@@ -2,8 +2,7 @@
 
 #include "common/deadline.h"
 #include "datalog/eval.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "rq/from_datalog.h"
 
 namespace rq {
@@ -71,18 +70,17 @@ Result<RqContainmentResult> CheckDatalogContainmentImpl(
 Result<RqContainmentResult> CheckDatalogContainment(
     const DatalogProgram& q1, const DatalogProgram& q2,
     const DatalogContainmentOptions& options) {
-  obs::FlightTimer timer(obs::QueryKind::kDatalogContainment);
+  obs::OpScope op("datalog.containment",
+                  obs::QueryKind::kDatalogContainment);
   Result<RqContainmentResult> result =
       CheckDatalogContainmentImpl(q1, q2, options);
   if (!result.ok()) {
-    timer.Finish(obs::FlightVerdictFromError(result.status()), 0);
+    op.Finish(obs::FlightVerdictFromError(result.status()), 0);
     return result;
   }
-  timer.Finish(FlightVerdictFromCertainty(result->certainty),
-               result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
-    profile->AddNote("datalog.method", result->method);
-  }
+  op.Finish(FlightVerdictFromCertainty(result->certainty),
+            result->expansions_checked);
+  op.Note("datalog.method", result->method);
   return result;
 }
 

@@ -7,8 +7,7 @@
 #include "common/deadline.h"
 #include "common/strings.h"
 #include "containment/batch.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "pathquery/containment.h"
 #include "pathquery/path_query.h"
 
@@ -241,14 +240,14 @@ Result<Relation> EvalCrpq(const GraphDb& db, const Crpq& query,
 Result<Relation> EvalUc2Rpq(const GraphSnapshot& snapshot,
                             const Uc2Rpq& query,
                             const PathEvalOptions& options) {
-  obs::FlightTimer timer(obs::QueryKind::kUc2RpqEval);
+  obs::OpScope op("crpq.eval", obs::QueryKind::kUc2RpqEval);
   RQ_RETURN_IF_ERROR(query.Validate());
   Relation out(query.disjuncts[0].head.size());
   for (const Crpq& q : query.disjuncts) {
     RQ_ASSIGN_OR_RETURN(Relation part, EvalCrpq(snapshot, q, options));
     out.InsertAll(part);
   }
-  timer.Finish(obs::kFlightVerdictOk, out.tuples().size());
+  op.Finish(obs::kFlightVerdictOk, out.tuples().size());
   return out;
 }
 
@@ -503,20 +502,18 @@ Result<CrpqContainmentResult> CheckUc2RpqContainmentImpl(
 Result<CrpqContainmentResult> CheckUc2RpqContainment(
     const Uc2Rpq& q1, const Uc2Rpq& q2, const Alphabet& alphabet,
     const CrpqContainmentOptions& options) {
-  obs::FlightTimer timer(obs::QueryKind::kUc2RpqContainment);
+  obs::OpScope op("crpq.containment", obs::QueryKind::kUc2RpqContainment);
   Result<CrpqContainmentResult> result =
       CheckUc2RpqContainmentImpl(q1, q2, alphabet, options);
   if (!result.ok()) {
-    timer.Finish(obs::FlightVerdictFromError(result.status()), 0);
+    op.Finish(obs::FlightVerdictFromError(result.status()), 0);
     return result;
   }
-  timer.Finish(FlightVerdictFromCertainty(result->certainty),
-               result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
-    profile->AddNote("uc2rpq.method",
-                     result->truncated ? result->method + " (truncated)"
-                                       : result->method);
-  }
+  op.Finish(FlightVerdictFromCertainty(result->certainty),
+            result->expansions_checked);
+  op.Note("uc2rpq.method", result->truncated
+                               ? result->method + " (truncated)"
+                               : std::string_view(result->method));
   return result;
 }
 

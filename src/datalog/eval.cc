@@ -4,9 +4,8 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
-#include "obs/flight_recorder.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -54,13 +53,12 @@ size_t ApplyRule(const DatalogRule& rule,
   return added;
 }
 
-// Fixpoint body; the public EvalDatalogProgram wraps it with flight
-// recording so timeouts and errors record their verdict.
+// Fixpoint body; the public EvalDatalogProgram wraps it in its op so
+// timeouts and errors record their verdict.
 Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
                                         const Database& edb,
                                         DatalogEvalMode mode,
                                         DatalogEvalStats* stats) {
-  RQ_TRACE_SPAN_VAR(span, "datalog.eval");
   // Fact stores and per-round delta relations are the fixpoint's memory;
   // ApplyRule charges every derived tuple and the InsertAll flushes below
   // charge the copies kept in the head relations.
@@ -261,8 +259,6 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
   counters.tuples_considered.Add(stats->tuples_considered);
   counters.tuples_derived.Add(stats->tuples_derived);
   counters.rounds_per_eval.Record(stats->rounds);
-  span.AddAttr("rounds", stats->rounds);
-  span.AddAttr("tuples_considered", stats->tuples_considered);
   return db;
 }
 
@@ -271,14 +267,18 @@ Result<Database> EvalDatalogProgramImpl(const DatalogProgram& program,
 Result<Database> EvalDatalogProgram(const DatalogProgram& program,
                                     const Database& edb, DatalogEvalMode mode,
                                     DatalogEvalStats* stats) {
-  obs::FlightTimer timer(obs::QueryKind::kDatalogEval);
+  obs::OpScope op("datalog.eval", obs::QueryKind::kDatalogEval);
   DatalogEvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Result<Database> result =
       EvalDatalogProgramImpl(program, edb, mode, stats);
-  timer.Finish(result.ok() ? obs::kFlightVerdictOk
-                           : obs::FlightVerdictFromError(result.status()),
-               stats->rounds);
+  if (result.ok()) {
+    op.Attr("rounds", stats->rounds);
+    op.Attr("tuples_considered", stats->tuples_considered);
+  }
+  op.Finish(result.ok() ? obs::kFlightVerdictOk
+                        : obs::FlightVerdictFromError(result.status()),
+            stats->rounds);
   return result;
 }
 

@@ -1,13 +1,12 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "common/mem.h"
+#include "common/clock.h"
 #include "obs/counters.h"
 
 #if !defined(_WIN32)
@@ -19,13 +18,6 @@ namespace rq {
 namespace obs {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Summaries lost to the ring: evicted oldest entries plus the (pathological,
 // lapped-writer) case where a new summary loses the slot's seqlock tag.
@@ -91,6 +83,27 @@ void WriteAll(int fd, const char* data, size_t len) {
   (void)data;
   (void)len;
 #endif
+}
+
+// One ring entry as a dump line, async-signal-safe; returns its length.
+size_t FormatEntry(const FlightEntry& entry, char* line, size_t cap) {
+  LineBuf buf(line, cap);
+  buf.Append("seq=");
+  buf.AppendU64(entry.seq);
+  buf.Append(" kind=");
+  buf.Append(QueryKindName(entry.kind));
+  buf.Append(" verdict=");
+  buf.Append(FlightVerdictName(entry.verdict));
+  buf.Append(" start_us=");
+  buf.AppendU64(entry.start_ns / 1000);
+  buf.Append(" duration_us=");
+  buf.AppendU64(entry.duration_ns / 1000);
+  buf.Append(" work=");
+  buf.AppendU64(entry.work);
+  buf.Append(" mem_peak=");
+  buf.AppendU64(entry.mem_peak);
+  buf.Append("\n");
+  return buf.len();
 }
 
 }  // namespace
@@ -203,25 +216,28 @@ void FlightRecorder::Record(QueryKind kind, int32_t verdict,
   }
 }
 
+bool FlightRecorder::ReadSlot(const Slot& slot, FlightEntry* entry) {
+  uint64_t t1 = slot.tag.load(std::memory_order_acquire);
+  if (t1 == 0 || (t1 & 1) != 0) return false;
+  UnpackKindVerdict(slot.kind_verdict.load(std::memory_order_relaxed),
+                    &entry->kind, &entry->verdict);
+  entry->start_ns = slot.start_ns.load(std::memory_order_relaxed);
+  entry->duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
+  entry->work = slot.work.load(std::memory_order_relaxed);
+  entry->mem_peak = slot.mem_peak.load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  // Overwritten mid-copy: skip, never tear.
+  if (slot.tag.load(std::memory_order_relaxed) != t1) return false;
+  entry->seq = t1 / 2 - 1;
+  return true;
+}
+
 std::vector<FlightEntry> FlightRecorder::Snapshot() const {
   std::vector<FlightEntry> out;
   out.reserve(kCapacity);
-  for (size_t i = 0; i < kCapacity; ++i) {
-    const Slot& slot = slots_[i];
-    uint64_t t1 = slot.tag.load(std::memory_order_acquire);
-    if (t1 == 0 || (t1 & 1) != 0) continue;
+  for (const Slot& slot : slots_) {
     FlightEntry entry;
-    UnpackKindVerdict(slot.kind_verdict.load(std::memory_order_relaxed),
-                      &entry.kind, &entry.verdict);
-    entry.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    entry.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    entry.work = slot.work.load(std::memory_order_relaxed);
-    entry.mem_peak = slot.mem_peak.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t t2 = slot.tag.load(std::memory_order_relaxed);
-    if (t1 != t2) continue;  // overwritten mid-copy: skip, never tear
-    entry.seq = t1 / 2 - 1;
-    out.push_back(entry);
+    if (ReadSlot(slot, &entry)) out.push_back(entry);
   }
   std::sort(out.begin(), out.end(),
             [](const FlightEntry& a, const FlightEntry& b) {
@@ -256,39 +272,13 @@ void FlightRecorder::DumpToFd(int fd) const {
     buf.Append(" queries recorded\n");
     WriteAll(fd, line, buf.len());
   }
-  // Same seqlock read protocol as Snapshot, without allocation or sorting
-  // (slot order approximates age order; seq disambiguates).
-  for (size_t i = 0; i < kCapacity; ++i) {
-    const Slot& slot = slots_[i];
-    uint64_t t1 = slot.tag.load(std::memory_order_acquire);
-    if (t1 == 0 || (t1 & 1) != 0) continue;
-    QueryKind kind;
-    int32_t verdict;
-    UnpackKindVerdict(slot.kind_verdict.load(std::memory_order_relaxed),
-                      &kind, &verdict);
-    uint64_t start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    uint64_t duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    uint64_t work = slot.work.load(std::memory_order_relaxed);
-    uint64_t mem_peak = slot.mem_peak.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.tag.load(std::memory_order_relaxed) != t1) continue;
-    LineBuf buf(line, sizeof(line));
-    buf.Append("seq=");
-    buf.AppendU64(t1 / 2 - 1);
-    buf.Append(" kind=");
-    buf.Append(QueryKindName(kind));
-    buf.Append(" verdict=");
-    buf.Append(FlightVerdictName(verdict));
-    buf.Append(" start_us=");
-    buf.AppendU64(start_ns / 1000);
-    buf.Append(" duration_us=");
-    buf.AppendU64(duration_ns / 1000);
-    buf.Append(" work=");
-    buf.AppendU64(work);
-    buf.Append(" mem_peak=");
-    buf.AppendU64(mem_peak);
-    buf.Append("\n");
-    WriteAll(fd, line, buf.len());
+  // Same seqlock read as Snapshot, without allocation or sorting (slot
+  // order approximates age order; seq disambiguates).
+  for (const Slot& slot : slots_) {
+    FlightEntry entry;
+    if (ReadSlot(slot, &entry)) {
+      WriteAll(fd, line, FormatEntry(entry, line, sizeof(line)));
+    }
   }
 }
 
@@ -305,44 +295,6 @@ void FlightRecorder::Reset() {
   epoch_ns_ = SteadyNowNs();
   std::lock_guard<std::mutex> lock(slow_mu_);
   slow_.clear();
-}
-
-namespace {
-// Per-thread nesting depth; only the outermost FlightTimer on a thread
-// records (see the class comment in flight_recorder.h).
-thread_local uint32_t t_flight_depth = 0;
-}  // namespace
-
-uint32_t FlightDepth() { return t_flight_depth; }
-
-ScopedFlightDepth::ScopedFlightDepth(uint32_t depth)
-    : previous_(t_flight_depth) {
-  t_flight_depth = depth;
-}
-
-ScopedFlightDepth::~ScopedFlightDepth() { t_flight_depth = previous_; }
-
-FlightTimer::FlightTimer(QueryKind kind)
-    : kind_(kind),
-      start_ns_(SteadyNowNs()),
-      outermost_(t_flight_depth++ == 0) {}
-
-FlightTimer::~FlightTimer() {
-  if (!finished_) Finish(kFlightVerdictAbandoned, 0);
-  --t_flight_depth;
-}
-
-void FlightTimer::Finish(int32_t verdict, uint64_t work) {
-  if (finished_) return;
-  finished_ = true;
-  if (!outermost_) return;
-  // The memory high-water mark of the query this timer wraps, when the
-  // entry point runs under a MemContext (CLI / batch engine installs one).
-  const MemContext* mem = MemContext::Current();
-  FlightRecorder::Global().Record(kind_, verdict, SteadyNowNs() - start_ns_,
-                                  work,
-                                  mem != nullptr ? mem->peak_total_bytes()
-                                                 : 0);
 }
 
 void FlightRecorder::SetQueryLabel(std::string label) {
@@ -371,15 +323,9 @@ Status WriteFlightDump(const std::string& path) {
                " queries recorded, %zu in ring, %" PRIu64 " dropped\n",
                recorder.TotalRecorded(), entries.size(),
                GetCounter("obs.flight_dropped")->value());
+  char line[256];
   for (const FlightEntry& entry : entries) {
-    std::fprintf(f,
-                 "seq=%" PRIu64
-                 " kind=%s verdict=%s start_us=%" PRIu64
-                 " duration_us=%" PRIu64 " work=%" PRIu64
-                 " mem_peak=%" PRIu64 "\n",
-                 entry.seq, QueryKindName(entry.kind),
-                 FlightVerdictName(entry.verdict), entry.start_ns / 1000,
-                 entry.duration_ns / 1000, entry.work, entry.mem_peak);
+    std::fwrite(line, 1, FormatEntry(entry, line, sizeof(line)), f);
   }
   std::vector<SlowQueryEntry> slow = recorder.SlowQueries();
   std::fprintf(f, "== slow queries (threshold %" PRIu64 " ms): %zu\n",

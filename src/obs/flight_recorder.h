@@ -7,10 +7,16 @@
 // recorder runs unconditionally: every top-level query operation — a path /
 // RQ / Datalog containment check, a graph or Datalog evaluation — records
 // one fixed-size summary (kind, verdict, duration, primary work metric) on
-// completion. Recording is a ticket fetch_add plus a handful of relaxed
-// atomic stores guarded by a per-slot seqlock tag, so it is safe from any
-// thread and costs nothing measurable per query (each subsystem already
-// flushes its counters once per operation at the same point).
+// completion. The summaries come from ops (obs/op.h): the outermost op with
+// a kind records, so a CheckRqContainment that dispatches to the 2RPQ fold
+// or evaluates Q2 over a hundred expansions contributes one entry. Fan-out
+// helpers run under the caller's op: a batch called at top level records
+// one entry per job, and a batch under an op with a kind records none,
+// whichever thread runs each job. Recording is a ticket fetch_add plus a
+// handful of relaxed atomic stores guarded by a per-slot seqlock tag, so it
+// is safe from any thread and costs nothing measurable per query (each
+// subsystem already flushes its counters once per operation at the same
+// point).
 //
 // The ring keeps the newest kCapacity summaries, dropping oldest-first on
 // overflow; evicted summaries are counted by `obs.flight_dropped`
@@ -66,7 +72,7 @@ const char* QueryKindName(QueryKind kind);
 // Verdict codes carried by a summary. Containment checks map their
 // Certainty (proved/refuted/unknown); evaluations record kOk. The primary
 // `work` metric is per-kind: states explored for containment, expansions
-// checked for RQ containment, fixpoint rounds for Datalog, product states
+// checked for RQ containment, fixpoint rounds for Datalog, answer pairs
 // for graph evaluation, answer tuples for the relational evaluators.
 inline constexpr int32_t kFlightVerdictOk = 0;
 inline constexpr int32_t kFlightVerdictRefuted = 1;
@@ -168,6 +174,10 @@ class FlightRecorder {
     std::atomic<uint64_t> mem_peak{0};
   };
 
+  // Seqlock read of one slot; false when it is empty, being written, or
+  // was overwritten mid-copy. Async-signal-safe.
+  static bool ReadSlot(const Slot& slot, FlightEntry* entry);
+
   std::atomic<uint64_t> next_seq_{0};
   uint64_t epoch_ns_ = 0;  // steady-clock origin for start_ns
   Slot slots_[kCapacity];
@@ -176,53 +186,6 @@ class FlightRecorder {
   mutable std::mutex slow_mu_;
   std::deque<SlowQueryEntry> slow_;
   std::string label_;  // guarded by slow_mu_
-};
-
-// RAII timing helper for the top-level entry points: starts the clock at
-// construction; Finish(verdict, work) records the summary, sampling the
-// calling thread's installed MemContext (if any) for the entry's mem_peak
-// field. A timer destroyed without Finish records kFlightVerdictAbandoned
-// (an error path unwound through the entry point).
-//
-// Nested timers are suppressed: only the outermost records, so a
-// CheckRqContainment that dispatches to the 2RPQ fold or evaluates Q2 over
-// a hundred expansions contributes one ring entry, not hundreds of
-// sub-operation entries. The depth is per thread, and fan-out helpers
-// (common/parallel.h) carry the caller's depth: a batch called at top
-// level records one entry per job (the individual checks ARE the queries),
-// and a batch under an outer timer records none, whichever thread runs
-// each job.
-class FlightTimer {
- public:
-  explicit FlightTimer(QueryKind kind);
-  ~FlightTimer();
-
-  FlightTimer(const FlightTimer&) = delete;
-  FlightTimer& operator=(const FlightTimer&) = delete;
-
-  void Finish(int32_t verdict, uint64_t work);
-
- private:
-  QueryKind kind_;
-  uint64_t start_ns_;
-  bool finished_ = false;
-  bool outermost_ = false;  // false for a nested timer: records nothing
-};
-
-// The calling thread's FlightTimer nesting depth, and a scope that sets
-// it (restoring the previous depth on destruction). Fan-out helpers use
-// the pair to run the caller's work at the caller's depth.
-uint32_t FlightDepth();
-class ScopedFlightDepth {
- public:
-  explicit ScopedFlightDepth(uint32_t depth);
-  ~ScopedFlightDepth();
-
-  ScopedFlightDepth(const ScopedFlightDepth&) = delete;
-  ScopedFlightDepth& operator=(const ScopedFlightDepth&) = delete;
-
- private:
-  uint32_t previous_;
 };
 
 // Installs `label` (typically the CLI's query text) as the context

@@ -1,14 +1,14 @@
 #include "obs/profile.h"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/clock.h"
 #include "obs/counters.h"
 #include "obs/gauge.h"
 #include "obs/mem_stats.h"
-#include "obs/trace.h"
 
 namespace rq {
 namespace obs {
@@ -16,13 +16,6 @@ namespace obs {
 namespace {
 
 std::atomic<QueryProfile*> g_active{nullptr};
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string FormatMs(uint64_t ns) {
   char buf[32];
@@ -33,12 +26,13 @@ std::string FormatMs(uint64_t ns) {
 
 }  // namespace
 
-QueryProfile* QueryProfile::Active() {
+QueryProfile* QueryProfile::Collecting() {
   return g_active.load(std::memory_order_acquire);
 }
 
 void QueryProfile::Begin(std::string tool, std::string query_class,
                          std::string query_text) {
+  owner_ = std::this_thread::get_id();
   QueryProfile* expected = nullptr;
   if (!g_active.compare_exchange_strong(expected, this,
                                         std::memory_order_acq_rel)) {
@@ -62,11 +56,6 @@ void QueryProfile::Begin(std::string tool, std::string query_class,
   }
   for (const GaugeSample& sample : GaugeRegistry::Global().Snapshot()) {
     gauge_baseline_[sample.name] = {sample.value, sample.peak};
-  }
-  if (CurrentTraceMode() != TraceMode::kDisabled) {
-    for (const SpanStats& stats : CollectSpanStats()) {
-      span_baseline_[stats.name] = {stats.count, stats.total_ns};
-    }
   }
   begin_ns_ = SteadyNowNs();
 }
@@ -134,36 +123,38 @@ void QueryProfile::End() {
     delta.peak_raised = peak_raised;
     gauges_.push_back(std::move(delta));
   }
-  if (CurrentTraceMode() != TraceMode::kDisabled) {
-    for (const SpanStats& stats : CollectSpanStats()) {
-      auto it = span_baseline_.find(stats.name);
-      SpanBaseline before =
-          it != span_baseline_.end() ? it->second : SpanBaseline{};
-      if (stats.count <= before.count) continue;
-      spans_.push_back({stats.name, stats.count - before.count,
-                        stats.total_ns - before.total_ns});
-    }
-  }
-
+  g_active.store(nullptr, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, delta] : span_counts_) spans_.push_back(delta);
+  std::sort(workers_.begin(), workers_.end(),
+            [](const ProfileWorker& a, const ProfileWorker& b) {
+              return a.worker < b.worker;
+            });
   collected_ = true;
   active_ = false;
-  g_active.store(nullptr, std::memory_order_release);
 }
 
-void QueryProfile::AddNote(const std::string& key, std::string value) {
+void QueryProfile::Consume(const OpEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  notes_[key] = std::move(value);
-}
-
-void QueryProfile::AddStat(const std::string& key, uint64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_[key] += value;
-}
-
-void QueryProfile::RecordWorker(uint32_t worker, uint64_t jobs,
-                                uint64_t busy_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  workers_.push_back({worker, jobs, busy_ns});
+  ProfileSpanDelta& span = span_counts_[event.name];
+  span.name = event.name;
+  ++span.count;
+  span.total_ns += event.duration_ns;
+  for (const auto& [key, value] : event.attrs) {
+    stats_[std::string(event.name) + "." + key] += value;
+  }
+  for (const auto& [key, value] : event.notes) notes_[key] = value;
+  if (!event.job) return;
+  std::thread::id self = std::this_thread::get_id();
+  size_t row = std::find(worker_threads_.begin(), worker_threads_.end(),
+                         self) -
+               worker_threads_.begin();
+  if (row == workers_.size()) {
+    worker_threads_.push_back(self);
+    workers_.push_back({self == owner_ ? 0 : next_worker_++, 0, 0});
+  }
+  ++workers_[row].jobs;
+  workers_[row].busy_ns += event.duration_ns;
 }
 
 JsonValue QueryProfile::ToJson() const {

@@ -2,31 +2,32 @@
 // check or evaluation and renders an EXPLAIN ANALYZE-style report (text and
 // JSON, schema "rq-profile/1"; see docs/OBSERVABILITY.md).
 //
-// The global registries (obs/counters.h, obs/gauge.h, obs/histogram.h) and
-// the span tracer accumulate process-wide. A QueryProfile snapshots all of
-// them when the profiled operation begins and again when it ends, and
-// reports the WINDOW: counter deltas, per-name span-stat deltas, windowed
-// histogram distributions (quantiles recomputed from raw bucket
-// differences, so a profiled query's p50/p99 are its own, not the process
-// lifetime's), and gauge begin/end levels with any peak raised inside the
-// window. For a single-query run from a fresh registry the profile totals
-// reconcile exactly with the global rq-obs/2 export; with the automata
-// cache enabled across queries, verdict-cache hits make later profiles
-// legitimately cheaper than the global totals (documented tolerance:
-// profile deltas never exceed the global totals).
+// The global registries (obs/counters.h, obs/gauge.h, obs/histogram.h)
+// accumulate process-wide. A QueryProfile snapshots them when the profiled
+// operation begins and again when it ends, and reports the WINDOW: counter
+// deltas, windowed histogram distributions (quantiles recomputed from raw
+// bucket differences, so a profiled query's p50/p99 are its own, not the
+// process lifetime's), and gauge begin/end levels with any peak raised
+// inside the window. For a single-query run from a fresh registry the
+// profile totals reconcile exactly with the global rq-obs/2 export; with
+// the automata cache enabled across queries, verdict-cache hits make later
+// profiles legitimately cheaper than the global totals (documented
+// tolerance: profile deltas never exceed the global totals).
 //
-// Beyond registry windows, subsystems annotate the ACTIVE profile directly
-// through the process-global hook (QueryProfile::Active()):
-//  * pipeline entry points attach notes (dispatch method, pipeline chosen)
-//    and stats (rounds, expansions checked, product states);
-//  * the batch containment worker pool (containment/batch.h) reports one
-//    row per worker — jobs executed and busy wall-time, accumulated
-//    thread-locally by each worker and flushed once at pool exit, so the
-//    per-worker numbers are isolated from each other by construction.
+// Beyond registry windows, the profile is one of the consumers of ops
+// (obs/op.h): every op that opens and closes inside the window, on any
+// thread, hands it its event. From those events the report carries
+//  * "notes": the entry points' string notes (pipeline or method chosen);
+//  * "stats": each op's numeric attrs, summed under "<op name>.<key>";
+//  * "span_stats": per-op-name count and wall-time, tracing on or off;
+//  * "workers": one row per thread that ran fan-out jobs (ops opened
+//    directly under a fan-out, common/parallel.h) — jobs and busy
+//    wall-time. The thread that began the profile is worker 0; the others
+//    are numbered 1.. in the order their first job closes.
 //
 // One profile may be active at a time (CLI --profile wraps the whole
 // query); a ProfileScope constructed while another is active records
-// nothing and reports inactive.
+// nothing and reports inactive. Ops must close before the profile ends.
 #ifndef RQ_OBS_PROFILE_H_
 #define RQ_OBS_PROFILE_H_
 
@@ -35,11 +36,13 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/mem.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
+#include "obs/op.h"
 
 namespace rq {
 namespace obs {
@@ -74,16 +77,14 @@ struct ProfileGaugeDelta {
   bool peak_raised = false;
 };
 
-// Span aggregate delta (count and wall-time attributed to the window).
-// Present only when tracing was enabled around the profiled operation.
+// Count and wall-time of the ops of one name that closed in the window.
 struct ProfileSpanDelta {
   std::string name;
   uint64_t count = 0;
   uint64_t total_ns = 0;
 };
 
-// One batch-pool worker's contribution (containment/batch.cc flushes one
-// row per worker thread after the pool joins).
+// One thread's fan-out jobs in the window (see the header comment).
 struct ProfileWorker {
   uint32_t worker = 0;
   uint64_t jobs = 0;
@@ -108,10 +109,6 @@ class QueryProfile {
   QueryProfile(const QueryProfile&) = delete;
   QueryProfile& operator=(const QueryProfile&) = delete;
 
-  // The profile currently collecting (nullptr when none). Subsystem hook
-  // sites null-check this; the load is one relaxed atomic.
-  static QueryProfile* Active();
-
   // Starts the window and installs this profile as active (fails silently
   // — records nothing — if another profile is already active). `tool`,
   // `query_class`, `query_text` describe the operation for the report.
@@ -120,10 +117,8 @@ class QueryProfile {
   // Ends the window, computes all deltas, and deactivates.
   void End();
 
-  // Subsystem annotations (thread-safe; callable between Begin and End).
-  void AddNote(const std::string& key, std::string value);
-  void AddStat(const std::string& key, uint64_t value);  // accumulates
-  void RecordWorker(uint32_t worker, uint64_t jobs, uint64_t busy_ns);
+  // True between a Begin that made this the collecting profile and End.
+  bool active() const { return active_; }
 
   // Report accessors (valid after End).
   bool collected() const { return collected_; }
@@ -152,7 +147,7 @@ class QueryProfile {
   //     "memory":     { "peak_total_bytes": N, "budget_bytes": N,
   //                     "exceeded": B,
   //                     "peak_subsystem_bytes": { name: N, ... } },
-  //     "stats":      { key: N, ... },
+  //     "stats":      { "<op name>.<attr>": N, ... },
   //     "notes":      { key: S, ... } }
   // Arrays list only entries whose window is non-empty; "memory" appears
   // only when a MemContext was installed around the profiled operation.
@@ -169,10 +164,6 @@ class QueryProfile {
     int64_t value = 0;
     int64_t peak = 0;
   };
-  struct SpanBaseline {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-  };
 
   // Window descriptor.
   std::string tool_;
@@ -187,7 +178,6 @@ class QueryProfile {
   std::map<std::string, uint64_t> counter_baseline_;
   std::map<std::string, HistogramBaseline> histogram_baseline_;
   std::map<std::string, GaugeBaseline> gauge_baseline_;
-  std::map<std::string, SpanBaseline> span_baseline_;
 
   // Results.
   std::vector<ProfileCounterDelta> counters_;
@@ -196,9 +186,17 @@ class QueryProfile {
   std::vector<ProfileSpanDelta> spans_;
   ProfileMemory memory_;
 
-  // Annotations (guarded by mu_: workers flush concurrently).
+  // Op events (obs/op.h), guarded by mu_: ops close on any thread.
+  friend class OpScope;
+  static QueryProfile* Collecting();
+  void Consume(const OpEvent& event);
+
   mutable std::mutex mu_;
+  std::thread::id owner_;  // the thread that called Begin: worker 0
+  std::vector<std::thread::id> worker_threads_;  // parallel to workers_
+  uint32_t next_worker_ = 1;
   std::vector<ProfileWorker> workers_;
+  std::map<std::string, ProfileSpanDelta, std::less<>> span_counts_;
   std::map<std::string, uint64_t> stats_;
   std::map<std::string, std::string> notes_;
 };

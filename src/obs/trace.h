@@ -1,35 +1,30 @@
-// Scoped span tracing (the observability layer's timing store; see
-// docs/OBSERVABILITY.md).
+// The span store: the tracing consumer of ops (obs/op.h; see
+// docs/OBSERVABILITY.md). Each OpScope that closes while tracing is on
+// lands here; this header is the store's mode switch and read side.
 //
-//   void FoldTwoNfa(...) {
-//     RQ_TRACE_SPAN("fold.construct");
-//     ...
-//   }
-//
-// Spans record wall-time and nesting (depth + parent index), and may carry
-// numeric attributes (typically counter values for the traced operation).
-// Tracing is off by default: a disabled RQ_TRACE_SPAN costs one relaxed
-// atomic load and a predictable branch, so instrumented hot paths stay at
-// full speed (bench_rpq_containment is the regression guard, budget ≤2%).
+// Tracing is off by default: an op then never touches the store, so
+// instrumented hot paths stay at full speed (bench_rpq_containment is the
+// regression guard, budget <=2%).
 //
 // Two enabled modes:
 //  * kAggregate — only per-name aggregates (count, total wall-time, and a
 //    duration histogram yielding p50/p90/p99/max) are kept; bounded
 //    memory, suitable for benchmark loops running millions of operations.
-//  * kFull — every span is additionally recorded as a row (name, start,
-//    duration, depth, parent, tid), capped at kMaxRecordedSpans to bound
-//    memory; spans beyond the cap still aggregate and are counted by the
-//    `obs.dropped_spans` counter. Suitable for tracing single CLI
+//  * kFull — every op is additionally recorded as a row (name, start,
+//    duration, depth, parent, tid, attrs), capped at kMaxRecordedSpans to
+//    bound memory; ops beyond the cap still aggregate and are counted by
+//    the `obs.dropped_spans` counter. Suitable for tracing single CLI
 //    invocations (rqcheck --trace / --chrome-trace).
 //
 // Span names follow the counter naming scheme `<subsystem>.<verb-or-noun>`.
-// Thread attribution: each thread that records a span is assigned a small
+// Thread attribution: each thread that records a row is assigned a small
 // dense id (`tid`, 0 for the first recording thread) for the lifetime of
 // the trace session; `SpanRecord::parent` is always resolved WITHIN the
 // owning thread — concurrent batch workers each form their own span tree
 // (one Chrome-trace lane per worker, obs/chrome_trace.h). Session resets
-// (SetTraceMode / ClearTrace) bump an internal generation; spans that
+// (SetTraceMode / ClearTrace) bump an internal generation; ops that
 // straddle a reset are discarded rather than linked into the new session.
+// The store is implemented with OpScope in obs/op.cc.
 #ifndef RQ_OBS_TRACE_H_
 #define RQ_OBS_TRACE_H_
 
@@ -47,7 +42,7 @@ enum class TraceMode {
   kFull,
 };
 
-// A finished (or still open, duration 0) span row, in start order.
+// A finished (or still open, duration 0) op row, in start order.
 struct SpanRecord {
   std::string name;
   uint64_t start_ns = 0;     // relative to the trace session start
@@ -58,7 +53,7 @@ struct SpanRecord {
   std::vector<std::pair<std::string, uint64_t>> attrs;
 };
 
-// Per-name aggregate over all spans since the session started (both
+// Per-name aggregate over all ops since the session started (both
 // enabled modes maintain these). Quantiles come from a log-bucketed
 // duration histogram (obs/histogram.h): exact max, bucket-lower-bound
 // estimates for p50/p90/p99.
@@ -95,44 +90,6 @@ std::vector<SpanStats> CollectSpanStats();
 // session (they are aggregated but not recorded as rows). Also exposed
 // process-wide as the `obs.dropped_spans` counter.
 uint64_t DroppedSpanRecords();
-
-// RAII span. `name` must outlive the span (string literals only).
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name) {
-    if (CurrentTraceMode() != TraceMode::kDisabled) Begin(name);
-  }
-  ~ScopedSpan() {
-    if (active_) End();
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  // Attaches a numeric attribute (no-op when tracing is disabled or the
-  // span's row was dropped by the cap).
-  void AddAttr(const char* key, uint64_t value);
-
- private:
-  void Begin(const char* name);
-  void End();
-
-  bool active_ = false;
-  const char* name_ = nullptr;
-  int32_t record_index_ = -1;  // -1 when not recorded (aggregate-only)
-  uint64_t generation_ = 0;    // session the span belongs to
-  uint64_t start_abs_ns_ = 0;  // absolute steady-clock time at Begin
-};
-
-#define RQ_OBS_CONCAT_INNER(a, b) a##b
-#define RQ_OBS_CONCAT(a, b) RQ_OBS_CONCAT_INNER(a, b)
-
-// Opens a span for the rest of the enclosing scope.
-#define RQ_TRACE_SPAN(name) \
-  ::rq::obs::ScopedSpan RQ_OBS_CONCAT(rq_obs_span_, __LINE__)(name)
-
-// Variant that names the span object so attributes can be attached.
-#define RQ_TRACE_SPAN_VAR(var, name) ::rq::obs::ScopedSpan var(name)
 
 }  // namespace obs
 }  // namespace rq

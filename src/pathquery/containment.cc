@@ -15,16 +15,20 @@
 #include "common/deadline.h"
 #include "common/mem.h"
 #include "graph/generators.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 #include "twoway/fold.h"
 #include "twoway/tables.h"
 
 namespace rq {
 
 namespace {
+
+// The flight recorder's verdict for a path containment result.
+int32_t FlightVerdict(const PathContainmentResult& result) {
+  if (!result.status.ok()) return obs::FlightVerdictFromError(result.status);
+  return result.contained ? obs::kFlightVerdictOk : obs::kFlightVerdictRefuted;
+}
 
 uint32_t SymbolUniverse(const Regex& q1, const Regex& q2,
                         const Alphabet& alphabet) {
@@ -146,6 +150,9 @@ PathContainmentResult CheckTwoWayContainmentImpl(const Regex& q1,
 
 PathContainmentResult CheckTwoWayContainment(const Regex& q1, const Regex& q2,
                                              const Alphabet& alphabet) {
+  obs::OpScope op("containment.fold_pipeline",
+                  obs::QueryKind::kPathContainment);
+  op.Note("path.pipeline", "2rpq-fold");
   // Whole-pipeline verdict memoization: the fold verdict is keyed on both
   // regexes plus the symbol universe and stored in the shared verdict LRU
   // under the "fold" tag. On a hit only cache.* counters move.
@@ -162,19 +169,20 @@ PathContainmentResult CheckTwoWayContainment(const Regex& q1, const Regex& q2,
       result.counterexample = hit->counterexample;
       result.explored_states = hit->explored_states;
       result.used_fold_pipeline = true;
+      op.Finish(FlightVerdict(result), result.explored_states);
       return result;
     }
   }
   // The fold-pipeline product search shares the containment.* vocabulary
   // with the one-way checkers (docs/OBSERVABILITY.md).
-  RQ_TRACE_SPAN_VAR(span, "containment.fold_pipeline");
   PathContainmentResult result = CheckTwoWayContainmentImpl(q1, q2, alphabet);
   obs::ContainmentCounters& counters = obs::ContainmentCounters::Get();
   counters.checks.Increment();
   counters.states_explored.Add(result.explored_states);
   counters.states_explored_per_check.Record(result.explored_states);
   if (!result.contained) counters.refuted.Increment();
-  span.AddAttr("states_explored", result.explored_states);
+  op.Attr("states_explored", result.explored_states);
+  op.Finish(FlightVerdict(result), result.explored_states);
   // A check cut short by deadline/cancellation produced no verdict; never
   // memoize it.
   if (ac.enabled() && result.status.ok()) {
@@ -191,31 +199,23 @@ PathContainmentResult CheckTwoWayContainment(const Regex& q1, const Regex& q2,
 PathContainmentResult CheckPathQueryContainment(const Regex& q1,
                                                 const Regex& q2,
                                                 const Alphabet& alphabet) {
-  obs::FlightTimer timer(obs::QueryKind::kPathContainment);
+  if (q1.UsesInverse() || q2.UsesInverse()) {
+    return CheckTwoWayContainment(q1, q2, alphabet);
+  }
+  // Lemma 1: plain language containment (memoized compilations; the
+  // verdict itself is memoized inside CheckLanguageContainment).
+  obs::OpScope op("containment.lemma1", obs::QueryKind::kPathContainment);
+  op.Note("path.pipeline", "lemma1");
+  const uint32_t k = SymbolUniverse(q1, q2, alphabet);
+  LanguageContainmentResult lang = CheckLanguageContainment(
+      *cache::CachedRegexToNfa(q1, k), *cache::CachedRegexToNfa(q2, k));
   PathContainmentResult result;
-  if (!q1.UsesInverse() && !q2.UsesInverse()) {
-    // Lemma 1: plain language containment (memoized compilations; the
-    // verdict itself is memoized inside CheckLanguageContainment).
-    const uint32_t k = SymbolUniverse(q1, q2, alphabet);
-    LanguageContainmentResult lang = CheckLanguageContainment(
-        *cache::CachedRegexToNfa(q1, k), *cache::CachedRegexToNfa(q2, k));
-    result.contained = lang.contained;
-    result.counterexample = std::move(lang.counterexample);
-    result.explored_states = lang.explored_states;
-    result.used_fold_pipeline = false;
-    result.status = std::move(lang.status);
-  } else {
-    result = CheckTwoWayContainment(q1, q2, alphabet);
-  }
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
-    profile->AddNote("path.pipeline",
-                     result.used_fold_pipeline ? "2rpq-fold" : "lemma1");
-  }
-  timer.Finish(!result.status.ok()
-                   ? obs::FlightVerdictFromError(result.status)
-                   : (result.contained ? obs::kFlightVerdictOk
-                                       : obs::kFlightVerdictRefuted),
-               result.explored_states);
+  result.contained = lang.contained;
+  result.counterexample = std::move(lang.counterexample);
+  result.explored_states = lang.explored_states;
+  result.used_fold_pipeline = false;
+  result.status = std::move(lang.status);
+  op.Finish(FlightVerdict(result), result.explored_states);
   return result;
 }
 

@@ -7,9 +7,8 @@
 #include "common/deadline.h"
 #include "common/mem.h"
 #include "common/parallel.h"
-#include "obs/flight_recorder.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -122,9 +121,8 @@ std::vector<NodeId> EvalPathQueryFrom(const GraphDb& db, const Nfa& nfa,
 std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
     const GraphSnapshot& snapshot, const Nfa& input,
     const std::vector<NodeId>& sources, const PathEvalOptions& options) {
-  RQ_TRACE_SPAN_VAR(span, "graph.eval_sources");
-  span.AddAttr("sources", sources.size());
-  obs::FlightTimer timer(obs::QueryKind::kGraphEval);
+  obs::OpScope op("graph.eval_sources", obs::QueryKind::kGraphEval);
+  op.Attr("sources", sources.size());
   const Nfa nfa = input.HasEpsilons() ? input.WithoutEpsilons() : input;
   std::vector<std::vector<NodeId>> answers(sources.size());
   unsigned jobs = options.jobs != 0 ? options.jobs : DefaultParallelJobs();
@@ -138,7 +136,7 @@ std::vector<std::vector<NodeId>> EvalPathQueryFromSources(
   // Map the parent context's verdict (partial answers are the workers'
   // problem to discard; callers poll CheckExecContext after this returns).
   Status parent_status = CheckExecContext();
-  timer.Finish(parent_status.ok()
+  op.Finish(parent_status.ok()
                    ? obs::kFlightVerdictOk
                    : obs::FlightVerdictFromError(parent_status),
                total_answers);

@@ -8,6 +8,15 @@
 
 namespace rq {
 
+namespace {
+
+bool IsPostfix(RegexKind kind) {
+  return kind == RegexKind::kStar || kind == RegexKind::kPlus ||
+         kind == RegexKind::kOptional;
+}
+
+}  // namespace
+
 RegexPtr Regex::Empty() {
   return RegexPtr(new Regex(RegexKind::kEmpty, kInvalidSymbol, {}));
 }
@@ -29,15 +38,29 @@ RegexPtr Regex::Union(std::vector<RegexPtr> children) {
   return RegexPtr(
       new Regex(RegexKind::kUnion, kInvalidSymbol, std::move(children)));
 }
+// A stack of postfix operators is always one node, by the identities
+// r** = r+* = r?* = r*+ = r*? = r+? = r?+ = r*, r++ = r+ and r?? = r?:
+// any stack with a `*` in it, or with both `+` and `?`, is r*. Chains like
+// `a+?+?...` then build (and compile to) a constant-size expression.
 RegexPtr Regex::Star(RegexPtr child) {
+  if (IsPostfix(child->kind())) return Star(child->children_[0]);
   return RegexPtr(
       new Regex(RegexKind::kStar, kInvalidSymbol, {std::move(child)}));
 }
 RegexPtr Regex::Plus(RegexPtr child) {
+  if (child->kind() == RegexKind::kStar || child->kind() == RegexKind::kPlus) {
+    return child;
+  }
+  if (child->kind() == RegexKind::kOptional) return Star(child->children_[0]);
   return RegexPtr(
       new Regex(RegexKind::kPlus, kInvalidSymbol, {std::move(child)}));
 }
 RegexPtr Regex::Optional(RegexPtr child) {
+  if (child->kind() == RegexKind::kStar ||
+      child->kind() == RegexKind::kOptional) {
+    return child;
+  }
+  if (child->kind() == RegexKind::kPlus) return Star(child->children_[0]);
   return RegexPtr(
       new Regex(RegexKind::kOptional, kInvalidSymbol, {std::move(child)}));
 }

@@ -45,6 +45,8 @@ class Regex {
   static RegexPtr Atom(Symbol symbol);
   static RegexPtr Concat(std::vector<RegexPtr> children);
   static RegexPtr Union(std::vector<RegexPtr> children);
+  // The postfix factories fold a postfix child into one node (r** = r*,
+  // r+? = r*, r++ = r+, ...), so a postfix chain never nests.
   static RegexPtr Star(RegexPtr child);
   static RegexPtr Plus(RegexPtr child);
   static RegexPtr Optional(RegexPtr child);

@@ -4,8 +4,8 @@
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -156,7 +156,7 @@ Result<Relation> EvalUcq(const Database& db,
 
 Result<bool> CqContained(const ConjunctiveQuery& q1,
                          const ConjunctiveQuery& q2) {
-  RQ_TRACE_SPAN("cq.containment");
+  obs::OpScope op("cq.containment");
   RQ_RETURN_IF_ERROR(q1.Validate());
   RQ_RETURN_IF_ERROR(q2.Validate());
   if (q1.arity() != q2.arity()) {
@@ -206,7 +206,7 @@ Result<std::optional<std::vector<Value>>> CqContainmentWitness(
 
 Result<bool> UcqContained(const UnionOfConjunctiveQueries& q1,
                           const UnionOfConjunctiveQueries& q2) {
-  RQ_TRACE_SPAN("cq.ucq_containment");
+  obs::OpScope op("cq.ucq_containment");
   RQ_RETURN_IF_ERROR(q1.Validate());
   RQ_RETURN_IF_ERROR(q2.Validate());
   if (q1.disjuncts[0].arity() != q2.disjuncts[0].arity()) {

@@ -2,10 +2,8 @@
 
 #include "common/deadline.h"
 #include "graph/generators.h"
-#include "obs/flight_recorder.h"
-#include "obs/profile.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 #include "pathquery/containment.h"
 #include "rq/eval.h"
 #include "rq/lower.h"
@@ -49,12 +47,10 @@ void AttachSemipathCounterexample(const Alphabet& alphabet,
   result->witness_tuple = {witness.start, witness.end};
 }
 
-// Dispatcher body; the public CheckRqContainment wraps it with flight
-// recording and per-query profile annotation.
+// Dispatcher body; the public CheckRqContainment wraps it in its op.
 Result<RqContainmentResult> CheckRqContainmentImpl(
     const RqQuery& q1, const RqQuery& q2,
     const RqContainmentOptions& options) {
-  RQ_TRACE_SPAN("rq.containment");
   RQ_RETURN_IF_ERROR(q1.Validate());
   RQ_RETURN_IF_ERROR(q2.Validate());
   if (q1.arity() != q2.arity()) {
@@ -152,18 +148,16 @@ Result<RqContainmentResult> CheckRqContainmentImpl(
 Result<RqContainmentResult> CheckRqContainment(
     const RqQuery& q1, const RqQuery& q2,
     const RqContainmentOptions& options) {
-  obs::FlightTimer timer(obs::QueryKind::kRqContainment);
+  obs::OpScope op("rq.containment", obs::QueryKind::kRqContainment);
   Result<RqContainmentResult> result =
       CheckRqContainmentImpl(q1, q2, options);
   if (!result.ok()) {
-    timer.Finish(obs::FlightVerdictFromError(result.status()), 0);
+    op.Finish(obs::FlightVerdictFromError(result.status()), 0);
     return result;
   }
-  timer.Finish(FlightVerdictFromCertainty(result->certainty),
-               result->expansions_checked);
-  if (obs::QueryProfile* profile = obs::QueryProfile::Active()) {
-    profile->AddNote("rq.method", result->method);
-  }
+  op.Finish(FlightVerdictFromCertainty(result->certainty),
+            result->expansions_checked);
+  op.Note("rq.method", result->method);
   return result;
 }
 

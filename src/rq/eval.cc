@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/flight_recorder.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 #include "relational/matcher.h"
 
 namespace rq {
@@ -202,8 +201,7 @@ Result<RqRelation> EvalRqExpr(const Database& db, const RqExpr& e) {
 }
 
 Result<Relation> EvalRqQuery(const Database& db, const RqQuery& query) {
-  RQ_TRACE_SPAN("rq.eval");
-  obs::FlightTimer timer(obs::QueryKind::kRqEval);
+  obs::OpScope op("rq.eval", obs::QueryKind::kRqEval);
   obs::RqCounters::Get().evals.Increment();
   RQ_RETURN_IF_ERROR(query.Validate());
   RQ_ASSIGN_OR_RETURN(RqRelation result, EvalRqExpr(db, *query.root));
@@ -220,7 +218,7 @@ Result<Relation> EvalRqQuery(const Database& db, const RqQuery& query) {
     for (size_t col : cols) projected.push_back(t[col]);
     out.Insert(projected);
   }
-  timer.Finish(obs::kFlightVerdictOk, out.tuples().size());
+  op.Finish(obs::kFlightVerdictOk, out.tuples().size());
   return out;
 }
 

@@ -5,8 +5,8 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -206,7 +206,7 @@ class UnionFind {
 
 Result<RqExpansions> ExpandRq(const RqQuery& query,
                               const RqExpandLimits& limits) {
-  RQ_TRACE_SPAN_VAR(span, "rq.expand");
+  obs::OpScope op("rq.expand");
   MemScope mem_scope(MemSubsystem::kRq);
   RQ_RETURN_IF_ERROR(query.Validate());
   Expander expander;
@@ -238,7 +238,7 @@ Result<RqExpansions> ExpandRq(const RqQuery& query,
   obs::RqCounters::Get().expansions.Add(out.expansions.size());
   obs::RqCounters::Get().live_expansions.Set(
       static_cast<int64_t>(out.expansions.size()));
-  span.AddAttr("expansions", out.expansions.size());
+  op.Attr("expansions", out.expansions.size());
   return out;
 }
 

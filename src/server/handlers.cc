@@ -16,7 +16,6 @@
 #include "crpq/crpq.h"
 #include "datalog/eval.h"
 #include "obs/export.h"
-#include "obs/profile.h"
 #include "obs/subsystems.h"
 #include "pathquery/containment.h"
 #include "pathquery/path_query.h"
@@ -306,9 +305,6 @@ obs::JsonValue HandleEval(const Request& request, const HandlerContext& ctx) {
       if (const Relation* closure = ctx.view.Closure(*closure_label);
           closure != nullptr) {
         obs::IncrCounters::Get().closure_evals.Increment();
-        if (auto* profile = obs::QueryProfile::Active()) {
-          profile->AddNote("eval_path", "incremental-closure");
-        }
         obs::JsonValue response = render(*closure);
         response.Set("incremental", obs::JsonValue::Bool(true));
         return response;

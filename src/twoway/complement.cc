@@ -7,8 +7,8 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -160,14 +160,14 @@ Result<Nfa> VardiComplementNfaImpl(const TwoNfa& m, size_t max_states) {
 }  // namespace
 
 Result<Nfa> VardiComplementNfa(const TwoNfa& m, size_t max_states) {
-  RQ_TRACE_SPAN_VAR(span, "complement.construct");
+  obs::OpScope op("complement.construct");
   Result<Nfa> result = VardiComplementNfaImpl(m, max_states);
   obs::ComplementCounters& counters = obs::ComplementCounters::Get();
   counters.constructions.Increment();
   if (result.ok()) {
     counters.states.Add(result->num_states());
     counters.peak_states.Set(result->num_states());
-    span.AddAttr("states", result->num_states());
+    op.Attr("states", result->num_states());
   } else if (result.status().code() == StatusCode::kResourceExhausted) {
     counters.budget_exhausted.Increment();
   }

@@ -4,8 +4,8 @@
 
 #include "common/deadline.h"
 #include "common/mem.h"
+#include "obs/op.h"
 #include "obs/subsystems.h"
-#include "obs/trace.h"
 
 namespace rq {
 
@@ -29,7 +29,7 @@ bool Folds(const std::vector<Symbol>& v, const std::vector<Symbol>& u) {
 }
 
 TwoNfa FoldTwoNfa(const Nfa& input) {
-  RQ_TRACE_SPAN_VAR(span, "fold.construct");
+  obs::OpScope op("fold.construct");
   MemScope mem_scope(MemSubsystem::kFold);
   const Nfa a = input.HasEpsilons() ? input.WithoutEpsilons() : input;
   const uint32_t k = a.num_symbols();
@@ -105,8 +105,8 @@ TwoNfa FoldTwoNfa(const Nfa& input) {
   counters.transitions.Add(num_transitions);
   counters.states_per_construction.Record(out.num_states());
   counters.peak_states.Set(out.num_states());
-  span.AddAttr("states", out.num_states());
-  span.AddAttr("transitions", num_transitions);
+  op.Attr("states", out.num_states());
+  op.Attr("transitions", num_transitions);
   return out;
 }
 

@@ -22,6 +22,7 @@
 #include "graph/graph_db.h"
 #include "gtest/gtest.h"
 #include "obs/flight_recorder.h"
+#include "obs/op.h"
 #include "pathquery/path_query.h"
 #include "regex/regex.h"
 
@@ -223,8 +224,8 @@ TEST(ExecutorTest, BatchCancelledByCallerReportsCancelledOnEveryJob) {
 }
 
 // A job records in the flight recorder the same way whichever thread runs
-// it: under an outer timer it is nested and suppressed, at top level it is
-// a query of its own.
+// it: under an outer op with a kind it is nested and suppressed, at top
+// level it is a query of its own.
 size_t FlightEntriesOfBatch(unsigned jobs, bool outer_timer) {
   Alphabet alphabet;
   RegexPtr q1 = ParseRegex("a b*", &alphabet).value();
@@ -234,9 +235,9 @@ size_t FlightEntriesOfBatch(unsigned jobs, bool outer_timer) {
   options.jobs = jobs;
   obs::FlightRecorder::Global().Reset();
   if (outer_timer) {
-    obs::FlightTimer timer(obs::QueryKind::kUnknown);
+    obs::OpScope op("test.outer", obs::QueryKind::kRqContainment);
     CheckPathContainmentBatch(batch, alphabet, options);
-    timer.Finish(obs::kFlightVerdictOk, 0);
+    op.Finish(obs::kFlightVerdictOk, 0);
   } else {
     CheckPathContainmentBatch(batch, alphabet, options);
   }
@@ -254,16 +255,16 @@ TEST(ExecutorTest, HelpersRunAtTheCallersFlightDepth) {
   obs::FlightRecorder::Global().Reset();
   size_t on_helpers;
   {
-    obs::FlightTimer outer(obs::QueryKind::kUnknown);
+    obs::OpScope outer("test.outer", obs::QueryKind::kRqContainment);
     on_helpers = FanOutCountingHelpers(16, [](size_t) {
-      obs::FlightTimer inner(obs::QueryKind::kPathContainment);
+      obs::OpScope inner("test.inner", obs::QueryKind::kPathContainment);
       inner.Finish(obs::kFlightVerdictOk, 0);
     });
     outer.Finish(obs::kFlightVerdictOk, 0);
   }
   EXPECT_GT(on_helpers, 0u);
   EXPECT_EQ(obs::FlightRecorder::Global().Snapshot().size(), 1u);
-  EXPECT_EQ(obs::FlightDepth(), 0u);
+  EXPECT_EQ(obs::OpScope::Current(), nullptr);
 }
 
 TEST(ExecutorTest, RunsTasksInOrderAndShutdownDrainsThem) {

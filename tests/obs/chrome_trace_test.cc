@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/op.h"
 #include "obs/trace.h"
 
 namespace rq {
@@ -27,8 +28,8 @@ class ChromeTraceTest : public ::testing::Test {
 TEST_F(ChromeTraceTest, ExportIsValidTraceEventJson) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("containment.check");
-    { RQ_TRACE_SPAN_VAR(span, "fold.construct"); span.AddAttr("states", 12); }
+    OpScope op("containment.check");
+    { OpScope span("fold.construct"); span.Attr("states", 12); }
   }
   auto parsed = JsonValue::Parse(ChromeTraceJson().Dump(1));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -62,8 +63,8 @@ TEST_F(ChromeTraceTest, ExportIsValidTraceEventJson) {
 TEST_F(ChromeTraceTest, CategoryIsSubsystemPrefixAndArgsAreAttrs) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN_VAR(span, "datalog.fixpoint");
-    span.AddAttr("rounds", 3);
+    OpScope span("datalog.fixpoint");
+    span.Attr("rounds", 3);
   }
   JsonValue doc = ChromeTraceJson();
   const JsonValue* events = doc.Find("traceEvents");
@@ -83,9 +84,9 @@ TEST_F(ChromeTraceTest, CategoryIsSubsystemPrefixAndArgsAreAttrs) {
 TEST_F(ChromeTraceTest, EachRecordingThreadGetsItsOwnNamedLane) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.main_lane");
+    OpScope op("test.main_lane");
   }
-  std::thread worker([] { RQ_TRACE_SPAN("test.worker_lane"); });
+  std::thread worker([] { OpScope op("test.worker_lane"); });
   worker.join();
 
   JsonValue doc = ChromeTraceJson();
@@ -115,7 +116,7 @@ TEST_F(ChromeTraceTest, EmptyTraceIsStillValid) {
 TEST_F(ChromeTraceTest, WriteChromeTraceFileRoundTrips) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.file_span");
+    OpScope op("test.file_span");
   }
   std::string path = ::testing::TempDir() + "/chrome_trace_test.json";
   Status status = WriteChromeTraceFile(path);

@@ -1,7 +1,8 @@
 // Unit tests for the always-on flight recorder (obs/flight_recorder.h):
 // ring recording and snapshot ordering, oldest-first eviction with the
 // obs.flight_dropped accounting, the latency-gated slow-query log, the
-// FlightTimer nesting suppression, and the WriteFlightDump text format.
+// nesting suppression of ops with a kind (obs/op.h), and the
+// WriteFlightDump text format.
 // Concurrent-writer tearing is covered separately under the tsan label in
 // tests/concurrency/flight_recorder_concurrency_test.cc.
 #include "obs/flight_recorder.h"
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/counters.h"
+#include "obs/op.h"
 #include "rq/containment.h"
 
 namespace rq {
@@ -120,8 +122,8 @@ TEST_F(FlightRecorderTest, SlowQueryLogIsBounded) {
 
 TEST_F(FlightRecorderTest, FlightTimerRecordsOnFinish) {
   {
-    FlightTimer timer(QueryKind::kUc2RpqEval);
-    timer.Finish(kFlightVerdictOk, 42);
+    OpScope op("test.query", QueryKind::kUc2RpqEval);
+    op.Finish(kFlightVerdictOk, 42);
   }
   std::vector<FlightEntry> entries = FlightRecorder::Global().Snapshot();
   ASSERT_EQ(entries.size(), 1u);
@@ -132,7 +134,7 @@ TEST_F(FlightRecorderTest, FlightTimerRecordsOnFinish) {
 
 TEST_F(FlightRecorderTest, FlightTimerAbandonedWithoutFinish) {
   {
-    FlightTimer timer(QueryKind::kDatalogContainment);
+    OpScope op("test.query", QueryKind::kDatalogContainment);
     // Destroyed without Finish: an error path unwound through the entry
     // point.
   }
@@ -144,9 +146,9 @@ TEST_F(FlightRecorderTest, FlightTimerAbandonedWithoutFinish) {
 
 TEST_F(FlightRecorderTest, NestedTimersOnOneThreadRecordOnce) {
   {
-    FlightTimer outer(QueryKind::kRqContainment);
+    OpScope outer("test.query", QueryKind::kRqContainment);
     {
-      FlightTimer inner(QueryKind::kPathContainment);
+      OpScope inner("test.query", QueryKind::kPathContainment);
       inner.Finish(kFlightVerdictOk, 500);  // suppressed: nested
     }
     outer.Finish(kFlightVerdictRefuted, 3);
@@ -157,12 +159,29 @@ TEST_F(FlightRecorderTest, NestedTimersOnOneThreadRecordOnce) {
   EXPECT_EQ(entries[0].verdict, kFlightVerdictRefuted);
   EXPECT_EQ(entries[0].work, 3u);
 
-  // Once the outermost timer is gone the next timer records again.
+  // Once the outermost op is gone the next op with a kind records again.
   {
-    FlightTimer next(QueryKind::kGraphEval);
+    OpScope next("test.query", QueryKind::kGraphEval);
     next.Finish(kFlightVerdictOk, 1);
   }
   EXPECT_EQ(FlightRecorder::Global().Snapshot().size(), 2u);
+}
+
+// Only ops with a kind nest in the flight recorder's sense: an op without
+// one records nothing itself and does not suppress the query inside it.
+TEST_F(FlightRecorderTest, OpWithoutKindLeavesNestedQueryOutermost) {
+  {
+    OpScope plain("test.plain");
+    plain.Finish(kFlightVerdictOk, 99);
+    {
+      OpScope query("test.query", QueryKind::kGraphEval);
+      query.Finish(kFlightVerdictOk, 5);
+    }
+  }
+  std::vector<FlightEntry> entries = FlightRecorder::Global().Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].kind, QueryKind::kGraphEval);
+  EXPECT_EQ(entries[0].work, 5u);
 }
 
 TEST_F(FlightRecorderTest, WriteFlightDumpRendersRingAndSlowLog) {

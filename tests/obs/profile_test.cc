@@ -1,7 +1,8 @@
 // Tests for the per-query profiler (obs/profile.h): window isolation of
-// counter/histogram/gauge deltas, single-active semantics, subsystem
-// annotations (notes, stats, worker rows), the rq-profile/1 JSON report,
-// and reconciliation of profile deltas against the global registries.
+// counter/histogram/gauge deltas, single-active semantics, what ops
+// (obs/op.h) hand it (notes, stats, span counts, worker rows), the
+// rq-profile/1 JSON report, and reconciliation of profile deltas against
+// the global registries.
 #include "obs/profile.h"
 
 #include <cstdint>
@@ -10,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "obs/counters.h"
 #include "obs/gauge.h"
 #include "obs/histogram.h"
+#include "obs/op.h"
 
 namespace rq {
 namespace obs {
@@ -47,12 +50,12 @@ TEST(ProfileTest, CounterDeltaIsWindowed) {
 
   QueryProfile profile;
   profile.Begin("test", "unit", "windowed counter");
-  EXPECT_EQ(QueryProfile::Active(), &profile);
+  EXPECT_TRUE(profile.active());
   counter->Add(5);
   profile.End();
 
   EXPECT_TRUE(profile.collected());
-  EXPECT_EQ(QueryProfile::Active(), nullptr);
+  EXPECT_FALSE(profile.active());
   const ProfileCounterDelta* delta =
       FindCounter(profile, "proftest.windowed_counter");
   ASSERT_NE(delta, nullptr);
@@ -123,15 +126,22 @@ TEST(ProfileTest, SecondActiveProfileRecordsNothing) {
   first.Begin("test", "unit", "first");
   QueryProfile second;
   second.Begin("test", "unit", "second");
-  EXPECT_EQ(QueryProfile::Active(), &first);
+  EXPECT_TRUE(first.active());
+  EXPECT_FALSE(second.active());
 
   GetCounter("proftest.single_active")->Add(2);
+  {
+    OpScope op("test.single_active");
+    op.Note("test.owner", "first");
+  }
   second.End();
   EXPECT_FALSE(second.collected());
-  EXPECT_EQ(QueryProfile::Active(), &first);
+  EXPECT_TRUE(first.active());
 
   first.End();
   EXPECT_TRUE(first.collected());
+  EXPECT_NE(first.ToJson().Dump().find("\"test.owner\""), std::string::npos);
+  EXPECT_EQ(second.ToJson().Dump().find("\"test.owner\""), std::string::npos);
   const ProfileCounterDelta* delta =
       FindCounter(first, "proftest.single_active");
   ASSERT_NE(delta, nullptr);
@@ -141,25 +151,52 @@ TEST(ProfileTest, SecondActiveProfileRecordsNothing) {
 TEST(ProfileTest, AnnotationsAndWorkersInReport) {
   QueryProfile profile;
   profile.Begin("test", "unit", "annotations");
-  profile.AddNote("dispatch.method", "2rpq-fold");
-  profile.AddStat("rounds", 3);
-  profile.AddStat("rounds", 4);  // accumulates
-  profile.RecordWorker(0, 7, 1500);
-  profile.RecordWorker(1, 9, 2500);
+  {
+    OpScope op("test.annotate");
+    op.Note("dispatch.method", "2rpq-fold");
+    op.Attr("rounds", 3);
+  }
+  {
+    OpScope op("test.annotate");
+    op.Attr("rounds", 4);  // accumulates across ops of one name
+  }
+  {
+    // Seven jobs at jobs=1: the caller runs them all as worker 0.
+    OpScope outer("test.batch");
+    ParallelForWorker(7, 1, [](unsigned, size_t) { OpScope job("test.job"); });
+  }
+  {
+    // Nine jobs at jobs=2: every job lands in exactly one worker row.
+    OpScope outer("test.batch");
+    ParallelForWorker(9, 2, [](unsigned, size_t) { OpScope job("test.job"); });
+  }
   profile.End();
 
-  ASSERT_EQ(profile.workers().size(), 2u);
-  EXPECT_EQ(profile.workers()[0].worker, 0u);
-  EXPECT_EQ(profile.workers()[0].jobs, 7u);
-  EXPECT_EQ(profile.workers()[1].busy_ns, 2500u);
+  ASSERT_GE(profile.workers().size(), 1u);
+  ASSERT_LE(profile.workers().size(), 2u);
+  uint64_t jobs = 0;
+  for (size_t i = 0; i < profile.workers().size(); ++i) {
+    EXPECT_EQ(profile.workers()[i].worker, i);
+    jobs += profile.workers()[i].jobs;
+  }
+  EXPECT_GE(profile.workers()[0].jobs, 7u);
+  EXPECT_GT(profile.workers()[0].busy_ns, 0u);
+  EXPECT_EQ(jobs, 16u);
+  for (const ProfileSpanDelta& span : profile.spans()) {
+    if (span.name == "test.job") {
+      EXPECT_EQ(span.count, 16u);
+    } else if (span.name == "test.batch") {
+      EXPECT_EQ(span.count, 2u);
+    }
+  }
 
   std::string json = profile.ToJson().Dump();
   EXPECT_NE(json.find("\"rq-profile/1\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dispatch.method\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"2rpq-fold\""), std::string::npos) << json;
-  size_t rounds = json.find("\"rounds\"");
+  size_t rounds = json.find("\"test.annotate.rounds\"");
   ASSERT_NE(rounds, std::string::npos) << json;
-  size_t value = json.find_first_of("0123456789", rounds + 8);
+  size_t value = json.find_first_of("0123456789", rounds + 22);
   ASSERT_NE(value, std::string::npos) << json;
   EXPECT_EQ(json[value], '7') << json;  // stat accumulated: 3 + 4
 }
@@ -181,10 +218,10 @@ TEST(ProfileTest, ProfileScopeBeginsAndEnds) {
   QueryProfile profile;
   {
     ProfileScope scope(&profile, "test", "unit", "raii");
-    EXPECT_EQ(QueryProfile::Active(), &profile);
+    EXPECT_TRUE(profile.active());
     GetCounter("proftest.scope_counter")->Increment();
   }
-  EXPECT_EQ(QueryProfile::Active(), nullptr);
+  EXPECT_FALSE(profile.active());
   EXPECT_TRUE(profile.collected());
   const ProfileCounterDelta* delta =
       FindCounter(profile, "proftest.scope_counter");

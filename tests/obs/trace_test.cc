@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/op.h"
+
 namespace rq {
 namespace obs {
 namespace {
@@ -17,7 +19,7 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledModeRecordsNothing) {
   SetTraceMode(TraceMode::kDisabled);
   {
-    RQ_TRACE_SPAN("test.disabled");
+    OpScope op("test.disabled");
   }
   EXPECT_TRUE(CollectSpanRecords().empty());
   EXPECT_TRUE(CollectSpanStats().empty());
@@ -26,9 +28,9 @@ TEST_F(TraceTest, DisabledModeRecordsNothing) {
 TEST_F(TraceTest, FullModeRecordsNestingDepthAndParent) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.outer");
-    { RQ_TRACE_SPAN("test.inner"); }
-    { RQ_TRACE_SPAN("test.inner"); }
+    OpScope op("test.outer");
+    { OpScope op("test.inner"); }
+    { OpScope op("test.inner"); }
   }
   std::vector<SpanRecord> records = CollectSpanRecords();
   ASSERT_EQ(records.size(), 3u);
@@ -50,8 +52,8 @@ TEST_F(TraceTest, FullModeRecordsNestingDepthAndParent) {
 TEST_F(TraceTest, AttrsAttachToTheirSpan) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN_VAR(span, "test.attrs");
-    span.AddAttr("answer", 42);
+    OpScope span("test.attrs");
+    span.Attr("answer", 42);
   }
   std::vector<SpanRecord> records = CollectSpanRecords();
   ASSERT_EQ(records.size(), 1u);
@@ -63,7 +65,7 @@ TEST_F(TraceTest, AttrsAttachToTheirSpan) {
 TEST_F(TraceTest, AggregateModeKeepsStatsOnly) {
   SetTraceMode(TraceMode::kAggregate);
   for (int i = 0; i < 5; ++i) {
-    RQ_TRACE_SPAN("test.agg");
+    OpScope op("test.agg");
   }
   EXPECT_TRUE(CollectSpanRecords().empty());
   std::vector<SpanStats> stats = CollectSpanStats();
@@ -75,7 +77,7 @@ TEST_F(TraceTest, AggregateModeKeepsStatsOnly) {
 TEST_F(TraceTest, ClearTraceDropsCollectedSpans) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.cleared");
+    OpScope op("test.cleared");
   }
   ClearTrace();
   EXPECT_TRUE(CollectSpanRecords().empty());
@@ -85,9 +87,9 @@ TEST_F(TraceTest, ClearTraceDropsCollectedSpans) {
 TEST_F(TraceTest, TidsAreDensePerRecordingThread) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.main_thread");  // first recorder → tid 0
+    OpScope op("test.main_thread");  // first recorder → tid 0
   }
-  std::thread worker([] { RQ_TRACE_SPAN("test.worker_thread"); });
+  std::thread worker([] { OpScope op("test.worker_thread"); });
   worker.join();
   std::vector<SpanRecord> records = CollectSpanRecords();
   ASSERT_EQ(records.size(), 2u);
@@ -100,12 +102,12 @@ TEST_F(TraceTest, TidsAreDensePerRecordingThread) {
 TEST_F(TraceTest, ParentsResolvePerThreadNotAcrossThreads) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN("test.outer");
+    OpScope op("test.outer");
     // The worker runs while test.outer is open on this thread. Its spans
     // must root in their own lane, never under another thread's open span.
     std::thread worker([] {
-      RQ_TRACE_SPAN("test.worker_root");
-      { RQ_TRACE_SPAN("test.worker_child"); }
+      OpScope op("test.worker_root");
+      { OpScope op("test.worker_child"); }
     });
     worker.join();
   }
@@ -131,16 +133,16 @@ TEST_F(TraceTest, ParentsResolvePerThreadNotAcrossThreads) {
 TEST_F(TraceTest, SpanStraddlingClearIsDiscardedEntirely) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN_VAR(span, "test.straddler");
+    OpScope span("test.straddler");
     ClearTrace();  // invalidates the recording session mid-span
-    span.AddAttr("late", 1);  // must not touch the cleared buffer
+    span.Attr("late", 1);  // must not touch the cleared buffer
   }
   // The straddling span contributes neither a record nor aggregate stats.
   EXPECT_TRUE(CollectSpanRecords().empty());
   EXPECT_TRUE(CollectSpanStats().empty());
   // The session keeps working for spans opened after the clear.
   {
-    RQ_TRACE_SPAN("test.after_clear");
+    OpScope op("test.after_clear");
   }
   std::vector<SpanRecord> records = CollectSpanRecords();
   ASSERT_EQ(records.size(), 1u);
@@ -152,11 +154,11 @@ TEST_F(TraceTest, SpanStraddlingClearIsDiscardedEntirely) {
 TEST_F(TraceTest, ModeSwitchInvalidatesStaleThreadStacks) {
   SetTraceMode(TraceMode::kFull);
   {
-    RQ_TRACE_SPAN_VAR(span, "test.old_session");
+    OpScope span("test.old_session");
     // Restarting tracing mid-span starts a new session; the open span
     // belongs to the old one and must not become a parent in the new one.
     SetTraceMode(TraceMode::kFull);
-    { RQ_TRACE_SPAN("test.new_session"); }
+    { OpScope op("test.new_session"); }
   }
   std::vector<SpanRecord> records = CollectSpanRecords();
   ASSERT_EQ(records.size(), 1u);

@@ -4,6 +4,7 @@
 
 #include "automata/words.h"
 #include "common/rng.h"
+#include "pathquery/containment.h"
 
 namespace rq {
 namespace {
@@ -172,6 +173,38 @@ TEST_F(RegexTest, MinNumSymbolsCoversAtoms) {
   ASSERT_TRUE(re.ok());
   // b is label 1 -> inverse symbol 3 -> need 4 symbols.
   EXPECT_EQ(re.value()->MinNumSymbols(), 4u);
+}
+
+// Every pair of stacked postfix operators folds to one node with the same
+// language. `(r o1 ()) o2` keeps the stack apart (the concatenation with
+// the empty word is not a postfix node), so it is the unfolded reference;
+// the containment checker compares the two in both directions.
+TEST_F(RegexTest, StackedPostfixOperatorsFoldWithoutChangingTheLanguage) {
+  const std::string ops = "*+?";
+  for (char o1 : ops) {
+    for (char o2 : ops) {
+      std::string stacked = std::string("(a b | c)") + o1 + o2;
+      std::string apart = std::string("((a b | c)") + o1 + " ())" + o2;
+      RegexPtr folded = ParseRegex(stacked, &alphabet_).value();
+      RegexPtr reference = ParseRegex(apart, &alphabet_).value();
+      EXPECT_EQ(folded->children().size(), 1u) << stacked;
+      EXPECT_NE(folded->children()[0]->kind(), RegexKind::kStar) << stacked;
+      EXPECT_NE(folded->children()[0]->kind(), RegexKind::kPlus) << stacked;
+      EXPECT_NE(folded->children()[0]->kind(), RegexKind::kOptional)
+          << stacked;
+      EXPECT_TRUE(
+          CheckPathQueryContainment(*folded, *reference, alphabet_).contained)
+          << stacked << " vs " << apart;
+      EXPECT_TRUE(
+          CheckPathQueryContainment(*reference, *folded, alphabet_).contained)
+          << apart << " vs " << stacked;
+    }
+  }
+  // The folded forms print as one operator.
+  EXPECT_EQ(ParseRegex("a**", &alphabet_).value()->ToString(alphabet_), "a*");
+  EXPECT_EQ(ParseRegex("a+?", &alphabet_).value()->ToString(alphabet_), "a*");
+  EXPECT_EQ(ParseRegex("a++", &alphabet_).value()->ToString(alphabet_), "a+");
+  EXPECT_EQ(ParseRegex("a??", &alphabet_).value()->ToString(alphabet_), "a?");
 }
 
 }  // namespace

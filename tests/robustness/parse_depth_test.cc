@@ -82,5 +82,27 @@ TEST(ParseDepthTest, DatalogRejectsDeepParenthesesWithoutRecursing) {
   EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A postfix chain is parsed without recursion, and the regex factories
+// fold it into one node, so 10^4 operators build a two-node expression and
+// a constant-size automaton instead of a chain the pipeline would walk
+// quadratically.
+TEST(ParseDepthTest, RegexPostfixChainIsOneNode) {
+  Alphabet alphabet;
+  std::string mixed = "a";
+  for (int i = 0; i < kHostile / 2; ++i) mixed += "+?";
+  auto chain = ParseRegex(mixed, &alphabet);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ((*chain)->Size(), 2u);
+  EXPECT_EQ((*chain)->kind(), RegexKind::kStar);  // a+? = a*
+  EXPECT_LE((*chain)->ToNfa(2).num_states(), 4u);
+
+  for (char op : {'*', '+', '?'}) {
+    auto same = ParseRegex("a" + std::string(kHostile, op), &alphabet);
+    ASSERT_TRUE(same.ok());
+    EXPECT_EQ((*same)->Size(), 2u) << op;
+    EXPECT_LE((*same)->ToNfa(2).num_states(), 4u) << op;
+  }
+}
+
 }  // namespace
 }  // namespace rq

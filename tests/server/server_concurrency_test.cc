@@ -114,6 +114,14 @@ TEST(ServerConcurrencyTest, Sustains64ConcurrentConnections) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(answered.load(), kClients * kRequestsPerClient);
+  // A client's thread joins once its socket is closed; the server's reader
+  // for that connection only then sees EOF and unregisters it. Wait for
+  // every reader to get there (bounded), then require that all did.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.active_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(server.active_connections(), 0u);
   server.DrainAndWait();
 }
